@@ -166,6 +166,16 @@ let e6 () =
      programmable cores and per-window tables, so their cost over plain MD\n\
      is small (FEP pays for its extra table pass).\n"
 
+(* A time in microseconds to three significant figures, without an
+   exponent: 16234 -> "16200", 19.84 -> "19.8", 0.1284 -> "0.128". *)
+let sig3 x =
+  if x = 0. || not (Float.is_finite x) then Printf.sprintf "%g" x
+  else begin
+    let e = int_of_float (Float.floor (Float.log10 (Float.abs x))) in
+    let scale = 10. ** float_of_int (e - 2) in
+    Printf.sprintf "%.*f" (max 0 (2 - e)) (Float.round (x /. scale) *. scale)
+  end
+
 (* E21: the live E7 — run the actual force pipeline on the Serial and
    Domains execution backends, measure wall time per resource phase, and
    set the measured breakdown next to the analytic machine model. *)
@@ -184,9 +194,9 @@ let e21 () =
       thermostat = Mdsp_md.Engine.Langevin { gamma_fs = 0.02 };
     }
   in
-  let measure ?(soa = false) exec =
+  let measure exec =
     let eng =
-      Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:42 ~exec ~soa sys
+      Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:42 ~exec sys
     in
     Mdsp_md.Engine.run eng 2;
     (* measure from a warm neighbor list *)
@@ -194,20 +204,46 @@ let e21 () =
     let w0 = Gc.minor_words () in
     Mdsp_md.Engine.run eng steps;
     let w1 = Gc.minor_words () in
-    let pairs =
-      Mdsp_space.Neighbor_list.length
-        (FC.nlist (Mdsp_md.Engine.force_calc eng))
-    in
-    (Mdsp_md.Engine.timings eng, pairs, (w1 -. w0) /. float_of_int steps)
+    (Mdsp_md.Engine.timings eng, eng, (w1 -. w0) /. float_of_int steps)
   in
-  let tm_serial, npairs, words_boxed = measure X.serial in
+  let tm_serial, eng_serial, words_step = measure X.serial in
+  let fc_serial = Mdsp_md.Engine.force_calc eng_serial in
+  let nlist = FC.nlist fc_serial in
+  let npairs = Mdsp_space.Neighbor_list.length nlist in
   let pool = X.create (X.Domains { n = ndomains }) in
   let tm_par, _, _ = measure pool in
   X.shutdown pool;
-  let tm_soa, _, words_soa = measure ~soa:true X.serial in
-  let pool = X.create (X.Domains { n = ndomains }) in
-  let tm_soa_par, _, _ = measure ~soa:true pool in
-  X.shutdown pool;
+  (* The boxed reference kernels ([Bonded.all], [compute_pairs14],
+     [Pair_interactions.compute] over the analytic evaluator), timed
+     directly on the serial engine's last frame and neighbor list. *)
+  let ref_bonded_s, ref_pair_s, ref_words =
+    let st = Mdsp_md.Engine.state eng_serial in
+    let box = st.Mdsp_md.State.box and pos = st.Mdsp_md.State.positions in
+    let topo = FC.topology fc_serial in
+    let cutoff = Mdsp_space.Neighbor_list.cutoff nlist in
+    let evaluator =
+      Mdsp_ff.Pair_interactions.of_topology topo ~cutoff
+        ~trunc:Mdsp_ff.Nonbonded.Shift
+        ~elec:Mdsp_ff.Pair_interactions.No_coulomb
+    in
+    let acc = Mdsp_ff.Bonded.make_accum (Mdsp_md.State.n st) in
+    let bonded = ref 0. and pair = ref 0. and words = ref 0. in
+    for _ = 1 to steps do
+      Mdsp_ff.Bonded.reset acc;
+      let t0 = Mdsp_util.Timer.now () in
+      ignore (Mdsp_ff.Bonded.all box topo pos acc);
+      let t1 = Mdsp_util.Timer.now () in
+      let w0 = Gc.minor_words () in
+      ignore (Mdsp_ff.Pair_interactions.compute_pairs14 topo ~cutoff box pos acc);
+      ignore (Mdsp_ff.Pair_interactions.compute evaluator box nlist pos acc);
+      let w1 = Gc.minor_words () in
+      pair := !pair +. Mdsp_util.Timer.since t1;
+      bonded := !bonded +. (t1 -. t0);
+      words := !words +. (w1 -. w0)
+    done;
+    let k = float_of_int steps in
+    (!bonded /. k, !pair /. k, !words /. k)
+  in
   let ps = FC.timings_per_call tm_serial and pp = FC.timings_per_call tm_par in
   let t =
     T.create
@@ -224,15 +260,9 @@ let e21 () =
         ]
   in
   let open FC in
-  let phase name a b =
-    T.row t
-      [
-        name;
-        T.cell_f ~prec:1 (a *. 1e6);
-        T.cell_f ~prec:1 (b *. 1e6);
-        (if b > 0. then Printf.sprintf "%.2fx" (a /. b) else "-");
-      ]
-  in
+  let us x = sig3 (x *. 1e6) in
+  let speedup a b = if b > 0. then Printf.sprintf "%.2fx" (a /. b) else "-" in
+  let phase name a b = T.row t [ name; us a; us b; speedup a b ] in
   phase "pair (pipelines)" ps.pair_s pp.pair_s;
   phase "bonded (flex)" ps.bonded_s pp.bonded_s;
   phase "long-range" ps.longrange_s pp.longrange_s;
@@ -242,14 +272,13 @@ let e21 () =
   phase "thermostat (Langevin O)" ps.thermostat_s pp.thermostat_s;
   phase "total" (timings_total ps) (timings_total pp);
   T.print t;
-  (* The flat (SoA) hot path against the boxed reference kernels on the
-     same workload: bitwise-identical results (test_parallel proves it),
-     so any pair-phase delta is pure data-layout/allocation effect. The
-     serial SoA pair window is Gc-metered and must not allocate. *)
-  let ss = FC.timings_per_call tm_soa and sp = FC.timings_per_call tm_soa_par in
+  (* The engine's flat (SoA) kernels against the boxed reference kernels on
+     the same frame: bitwise-identical results (test_parallel proves it),
+     so any delta is pure data-layout/allocation effect. The serial flat
+     pair window is Gc-metered and must not allocate. *)
   let t_soa =
     T.create
-      ~title:"flat (SoA) hot path vs boxed kernels, same workload"
+      ~title:"flat (SoA) kernels vs boxed reference kernels, same workload"
       ~columns:
         [
           ("phase", T.Left);
@@ -259,26 +288,16 @@ let e21 () =
           (Printf.sprintf "SoA %d domains (us)" ndomains, T.Right);
         ]
   in
-  let soa_phase name a b c =
-    T.row t_soa
-      [
-        name;
-        T.cell_f ~prec:1 (a *. 1e6);
-        T.cell_f ~prec:1 (b *. 1e6);
-        (if b > 0. then Printf.sprintf "%.2fx" (a /. b) else "-");
-        T.cell_f ~prec:1 (c *. 1e6);
-      ]
-  in
-  soa_phase "pair (pipelines)" ps.pair_s ss.pair_s sp.pair_s;
-  soa_phase "bonded (flex)" ps.bonded_s ss.bonded_s sp.bonded_s;
-  soa_phase "total" (timings_total ps) (timings_total ss)
-    (timings_total sp);
+  let soa_phase name a b c = T.row t_soa [ name; us a; us b; speedup a b; us c ] in
+  soa_phase "pair (pipelines)" ref_pair_s ps.pair_s pp.pair_s;
+  soa_phase "bonded (flex)" ref_bonded_s ps.bonded_s pp.bonded_s;
   T.print t_soa;
-  let soa_pair_words = ss.pair_words in
+  let soa_pair_words = ps.pair_words in
   note
-    "allocation: %.0f minor words/step boxed vs %.0f SoA (pair window: %.0f\n\
-     words/step — the flat loops allocate nothing once warm).\n"
-    words_boxed words_soa soa_pair_words;
+    "allocation: %.0f minor words/step (whole step); boxed reference pair\n\
+     kernels %.0f words/evaluation vs the flat pair window %.0f words/step\n\
+     (the flat loops allocate nothing once warm).\n"
+    words_step ref_words soa_pair_words;
   (* The sweeps the constraint-coloring certificate lets the pool run: a
      rigid water box drives SHAKE/RATTLE over the fused 3-atom clusters
      (one batch — the schedule [mdsp check --constraints] certifies) plus
@@ -322,15 +341,7 @@ let e21 () =
           ("speedup", T.Right);
         ]
   in
-  let cons_phase name a b =
-    T.row t_cons
-      [
-        name;
-        T.cell_f ~prec:1 (a *. 1e6);
-        T.cell_f ~prec:1 (b *. 1e6);
-        (if b > 0. then Printf.sprintf "%.2fx" (a /. b) else "-");
-      ]
-  in
+  let cons_phase name a b = T.row t_cons [ name; us a; us b; speedup a b ] in
   cons_phase "constraints (SHAKE/RATTLE)" cs.constraints_s cp.constraints_s;
   cons_phase "thermostat (rescale)" cs.thermostat_s cp.thermostat_s;
   cons_phase "integrate (kick/drift)" cs.integrate_s cp.integrate_s;
@@ -369,14 +380,15 @@ let e21 () =
     (pp.integrate_s *. 1e6);
   record "e21.integrate_speedup"
     (ps.integrate_s /. Float.max 1e-12 pp.integrate_s);
-  record "e21.pair_soa_serial_us" (ss.pair_s *. 1e6);
+  record "e21.pair_soa_serial_us" (ps.pair_s *. 1e6);
   record
     (Printf.sprintf "e21.pair_soa_domains%d_us" ndomains)
-    (sp.pair_s *. 1e6);
-  record "e21.soa_pair_speedup" (ps.pair_s /. Float.max 1e-12 ss.pair_s);
+    (pp.pair_s *. 1e6);
+  record "e21.pair_ref_serial_us" (ref_pair_s *. 1e6);
+  record "e21.soa_pair_speedup" (ref_pair_s /. Float.max 1e-12 ps.pair_s);
   record "e21.soa_pair_minor_words_per_step" soa_pair_words;
-  record "e21.step_minor_words_boxed" words_boxed;
-  record "e21.step_minor_words_soa" words_soa;
+  record "e21.ref_pair_minor_words_per_eval" ref_words;
+  record "e21.step_minor_words_soa" words_step;
   (* The GSE grid pipeline — the stage the machine backs with dedicated
      long-range hardware: a charged water box with grid electrostatics,
      serial vs domains, broken into spread/fft/convolve/gather. *)
@@ -422,13 +434,7 @@ let e21 () =
         ]
   in
   let gse_phase ?key name a b =
-    T.row t_gse
-      [
-        name;
-        T.cell_f ~prec:1 (a *. 1e6);
-        T.cell_f ~prec:1 (b *. 1e6);
-        (if b > 0. then Printf.sprintf "%.2fx" (a /. b) else "-");
-      ];
+    T.row t_gse [ name; us a; us b; speedup a b ];
     match key with
     | None -> ()
     | Some key ->
@@ -463,7 +469,7 @@ let e21 () =
           r.Perf.resource;
           T.cell_f ~prec:3 (r.Perf.model_s *. 1e6);
           (match r.Perf.measured_s with
-          | Some m -> T.cell_f ~prec:1 (m *. 1e6)
+          | Some m -> us m
           | None -> "-");
         ])
     (Perf.resource_rows b tm_gse_par);
@@ -497,7 +503,7 @@ let e7 () =
     (fun cost ->
       let w = Mdsp_core.Mapping.apply cost base in
       let b = Perf.step_time cfg w in
-      let us x = T.cell_f ~prec:3 (x *. 1e6) in
+      let us x = sig3 (x *. 1e6) in
       T.row t
         [
           cost.Mdsp_core.Mapping.method_name;

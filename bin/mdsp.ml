@@ -87,16 +87,6 @@ let gse_arg =
            plus the GSE reciprocal solver on an NxNxN grid (N a power of \
            two; 0 = off). All grid phases run on the --domains backend.")
 
-let soa_arg =
-  Arg.(
-    value & flag
-    & info [ "soa" ]
-        ~doc:
-          "Run the bonded/1-4/pair force phases on the flat \
-           structure-of-arrays fast path (bitwise identical to the boxed \
-           reference kernels; ignored when --tables replaces the \
-           evaluator).")
-
 let xyz_arg =
   Arg.(
     value & opt (some string) None
@@ -159,13 +149,13 @@ let print_timings eng =
       (per.thermostat_s *. 1e6);
   Printf.printf "  total               %10.3f us\n"
     (timings_total per *. 1e6);
-  (* The Gc meter only wraps the serial SoA pair window. *)
-  if E.soa_active eng then
+  (* The Gc meter only wraps the serial flat pair window. *)
+  if Mdsp_md.Force_calc.pair_kernel (E.force_calc eng) = `Flat then
     Printf.printf "  pair alloc          %10.1f words/step\n" per.pair_words
 
 let run_cmd =
   let doc = "Run molecular dynamics on a workload and report observables." in
-  let run preset steps temp dt thermostat use_tables seed domains gse soa
+  let run preset steps temp dt thermostat use_tables seed domains gse
       timings xyz xyz_stride checkpoint restart =
    or_die @@ fun () ->
     let sys = build_system preset in
@@ -187,13 +177,12 @@ let run_cmd =
     let cfg = { E.default_config with dt_fs = dt; temperature = temp; thermostat } in
     let eng =
       Mdsp_workload.Workloads.make_engine ~config:cfg ?gse_grid ~seed ~exec
-        ~soa sys
+        sys
     in
     (match Mdsp_util.Exec.backend exec with
     | Mdsp_util.Exec.Serial -> ()
     | Mdsp_util.Exec.Domains { n } ->
         Printf.printf "execution backend: %d domains\n" n);
-    if E.soa_active eng then print_endline "data layout: flat (SoA) hot path";
     (match Mdsp_md.Force_calc.(longrange_kind (E.force_calc eng)) with
     | `Gse (gx, gy, gz) ->
         Printf.printf "long-range: GSE grid %dx%dx%d\n" gx gy gz
@@ -266,6 +255,10 @@ let run_cmd =
       E.refresh_forces eng;
       Printf.printf "pair interactions: compiled machine tables (2048 intervals)\n"
     end;
+    print_endline
+      (match Mdsp_md.Force_calc.pair_kernel (E.force_calc eng) with
+      | `Flat -> "pair kernel: flat (SoA) analytic loop"
+      | `Generic -> "pair kernel: generic evaluator loop");
     Printf.printf "%s: %d atoms, %d steps at %.1f fs\n"
       sys.Mdsp_workload.Workloads.label
       (Mdsp_ff.Topology.n_atoms sys.Mdsp_workload.Workloads.topo)
@@ -306,7 +299,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ preset_arg $ steps_arg $ temp_arg $ dt_arg $ thermostat_arg
-      $ tables_arg $ seed_arg $ domains_arg $ gse_arg $ soa_arg $ timings_arg
+      $ tables_arg $ seed_arg $ domains_arg $ gse_arg $ timings_arg
       $ xyz_arg $ xyz_stride_arg $ checkpoint_arg $ restart_arg)
 
 (* --- ensemble --- *)

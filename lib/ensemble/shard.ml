@@ -41,9 +41,9 @@ let run_stride t f =
     (Exec.map_slots t.exec (fun s ->
          Array.iter
            (fun r ->
-             let t0 = Unix.gettimeofday () in
+             let t0 = Timer.now () in
              let advanced = f r in
-             t.wall_s.(r) <- t.wall_s.(r) +. Unix.gettimeofday () -. t0;
+             t.wall_s.(r) <- t.wall_s.(r) +. Timer.since t0;
              t.steps.(r) <- t.steps.(r) + advanced)
            t.replicas_of_slot.(s)));
   t.strides <- t.strides + 1

@@ -6,9 +6,16 @@ type electrostatics =
   | Reaction_field of { epsilon_rf : float }
   | Ewald_real of { beta : float }
 
+type form = {
+  topo : Topology.t;
+  trunc : Nonbonded.truncation;
+  elec : electrostatics;
+}
+
 type evaluator = {
   eval : int -> int -> float -> float * float;
   cutoff : float;
+  form : form option;
 }
 
 let of_topology (topo : Topology.t) ~cutoff ~trunc ~elec =
@@ -60,7 +67,7 @@ let of_topology (topo : Topology.t) ~cutoff ~trunc ~elec =
       (e_lj +. e_c, f_lj +. f_c)
     end
   in
-  { eval; cutoff }
+  { eval; cutoff; form = Some { topo; trunc; elec } }
 
 let apply_pair evaluator box positions (acc : Bonded.accum) energy i j =
   let d = Pbc.min_image box positions.(i) positions.(j) in

@@ -17,14 +17,27 @@ type electrostatics =
   | Ewald_real of { beta : float }
       (** real-space part of an Ewald decomposition *)
 
+(** The recipe an analytic evaluator was built from: the arguments of
+    {!of_topology} besides the cutoff. *)
+type form = {
+  topo : Topology.t;
+  trunc : Nonbonded.truncation;
+  elec : electrostatics;
+}
+
 type evaluator = {
   eval : int -> int -> float -> float * float;
       (** [eval i j r2] is [(energy, f_over_r)] for the atom pair *)
   cutoff : float;
+  form : form option;
+      (** [Some] only for {!of_topology} evaluators. Tables, FEP lambdas
+          and custom forms are opaque ([None]): only [eval] describes
+          them. A force calculator reads this to pick its pair kernel. *)
 }
 
 (** Analytic reference evaluator for a topology. [trunc] applies to the LJ
-    part; electrostatics are handled per the [electrostatics] choice. *)
+    part; electrostatics are handled per the [electrostatics] choice. The
+    result records its recipe in [form]. *)
 val of_topology :
   Topology.t ->
   cutoff:float ->

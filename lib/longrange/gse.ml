@@ -135,16 +135,14 @@ let iter_support t (p : Vec3.t) f =
     done
   done
 
-let now () = Unix.gettimeofday ()
-
 (* Charge [sel]'s phase bucket with the wall time of [f ()]. *)
 let timed phases sel f =
   match phases with
   | None -> f ()
   | Some ph ->
-      let t0 = now () in
+      let t0 = Timer.now () in
       let r = f () in
-      sel ph (now () -. t0);
+      sel ph (Timer.since t0);
       r
 
 (* Fixed-shape pairwise tree over the per-slot spread grids at one grid

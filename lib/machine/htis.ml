@@ -21,6 +21,7 @@ let evaluator ts ~types ~charges ~cutoff =
   {
     Mdsp_ff.Pair_interactions.eval = (fun i j r2 -> eval_pair ts types charges i j r2);
     cutoff;
+    form = None;
   }
 
 type result = {

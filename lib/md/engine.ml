@@ -55,11 +55,7 @@ type t = {
   mutable hooks : (string * (t -> unit)) list;
   mutable mc_baro_accept : int;
   mutable mc_baro_try : int;
-  mutable serial_integrator : bool;
-  mutable serial_constraints : bool;
 }
-
-let now () = Unix.gettimeofday ()
 
 let make_nhc ~dof ~temperature ~tau =
   let kt = Units.kt temperature in
@@ -89,8 +85,6 @@ let create ?(seed = 7) topo fc st cfg =
       hooks = [];
       mc_baro_accept = 0;
       mc_baro_try = 0;
-      serial_integrator = false;
-      serial_constraints = false;
     }
   in
   (match cfg.thermostat with
@@ -107,11 +101,8 @@ let create ?(seed = 7) topo fc st cfg =
 
 let state t = t.st
 let force_calc t = t.fc
-let set_serial_integrator t b = t.serial_integrator <- b
-let set_serial_constraints t b = t.serial_constraints <- b
 let timings t = Force_calc.timings t.fc
 let reset_timings t = Force_calc.reset_timings t.fc
-let soa_active t = Force_calc.soa_active t.fc
 let config t = t.cfg
 let rng t = t.rng
 let steps_done t = t.nsteps
@@ -244,18 +235,12 @@ let berendsen_scale t dt tau =
   if temp <= 0. then 1.
   else sqrt (1. +. (dt /. tau *. ((t.cfg.temperature /. temp) -. 1.)))
 
-(* The thermostat and constraint sweeps run on whichever executor the
-   engine's force calc carries, unless [serial_constraints] forces the
-   serial reference loops — the switch the bitwise-identity tests flip. *)
-let constraints_exec t =
-  if t.serial_constraints then Exec.serial else Force_calc.exec t.fc
-
 (* Ornstein–Uhlenbeck velocity update (the O in BAOAB). The engine RNG
    yields one key per step; atom i draws its noise from child stream i of
    that key, so the sweep is a per-atom-independent map — order- and
    tiling-invariant, hence bitwise identical serial vs. any slot count. *)
 let langevin_o t gamma dt =
-  let t0 = now () in
+  let t0 = Timer.now () in
   let c1 = exp (-.gamma *. dt) in
   let kt = Units.kt t.cfg.temperature in
   let v = t.st.State.velocities and m = t.st.State.masses in
@@ -271,7 +256,7 @@ let langevin_o t gamma dt =
       end
     done
   in
-  let exec = constraints_exec t in
+  let exec = Force_calc.exec t.fc in
   if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then body 0 n
   else begin
     let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
@@ -282,7 +267,7 @@ let langevin_o t gamma dt =
           ~hi exec;
         body lo hi)
   end;
-  Force_calc.add_thermostat_s t.fc (now () -. t0)
+  Force_calc.add_thermostat_s t.fc (Timer.since t0)
 
 (* Velocity rescale (NH chain, Berendsen) as a tiled parallel sweep; the
    scalar factor comes from a serial reduction beforehand, so the sweep
@@ -290,10 +275,10 @@ let langevin_o t gamma dt =
    saying "no-op"; skipping it is bitwise-neutral (v *. 1.0 = v). *)
 let thermo_scale t s =
   if s <> 1. then begin
-    let t0 = now () in
+    let t0 = Timer.now () in
     let v = t.st.State.velocities in
     let n = State.n t.st in
-    let exec = constraints_exec t in
+    let exec = Force_calc.exec t.fc in
     if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then
       State.scale_velocities t.st s
     else begin
@@ -307,26 +292,23 @@ let thermo_scale t s =
             v.(i) <- Vec3.scale s v.(i)
           done)
     end;
-    Force_calc.add_thermostat_s t.fc (now () -. t0)
+    Force_calc.add_thermostat_s t.fc (Timer.since t0)
   end
 
 (* --- integrator pieces --- *)
 
-(* The kick and drift sweeps are per-atom independent (no reductions), so
-   the tiled parallel sweeps below are bitwise identical to the serial
-   loops at every slot count — the identity the [test_parallel] suite
-   certifies against the [serial_integrator] reference, which forces the
-   serial loops while the force phases keep their executor. Masses and the
-   virtual-site table are immutable parameters and need no read
-   declaration. *)
-let integrator_exec t =
-  if t.serial_integrator then Exec.serial else Force_calc.exec t.fc
-
+(* The integrator, constraint and thermostat sweeps run on whichever
+   executor the engine's force calc carries. The kick and drift sweeps are
+   per-atom independent (no reductions), so the tiled parallel sweeps below
+   are bitwise identical to the serial loops at every slot count — the
+   identity [test_parallel] certifies against an engine on [Exec.serial].
+   Masses and the virtual-site table are immutable parameters and need no
+   read declaration. *)
 let kick ?(phase = "integrate.kick1") t (acc : Mdsp_ff.Bonded.accum) dt =
-  let t0 = now () in
+  let t0 = Timer.now () in
   let v = t.st.State.velocities and m = t.st.State.masses in
   let n = State.n t.st in
-  let exec = integrator_exec t in
+  let exec = Force_calc.exec t.fc in
   if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then
     for i = 0 to n - 1 do
       if not (Virtual_sites.is_site t.vsites i) then
@@ -346,17 +328,17 @@ let kick ?(phase = "integrate.kick1") t (acc : Mdsp_ff.Bonded.accum) dt =
             v.(i) <- Vec3.axpy (dt /. m.(i)) forces.(i) v.(i)
         done)
   end;
-  Force_calc.add_integrate_s t.fc (now () -. t0)
+  Force_calc.add_integrate_s t.fc (Timer.since t0)
 
 (* Drift positions by dt, apply SHAKE, and fold the constraint displacement
    back into velocities. Only the position sweep (with its prev-position
    save) is a parallel phase; SHAKE, the velocity fold and virtual-site
    placement stay on the calling domain after the barrier. *)
 let drift t dt =
-  let t0 = now () in
+  let t0 = Timer.now () in
   let x = t.st.State.positions and v = t.st.State.velocities in
   let n = State.n t.st in
-  let exec = integrator_exec t in
+  let exec = Force_calc.exec t.fc in
   if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then begin
     Array.blit x 0 t.prev_positions 0 n;
     for i = 0 to n - 1 do
@@ -381,11 +363,10 @@ let drift t dt =
             x.(i) <- Vec3.axpy dt v.(i) x.(i)
         done)
   end;
-  Force_calc.add_integrate_s t.fc (now () -. t0);
+  Force_calc.add_integrate_s t.fc (Timer.since t0);
   if Constraints.count t.cons > 0 then begin
-    let t1 = now () in
-    let cexec = constraints_exec t in
-    Constraints.shake ~exec:cexec t.cons t.st.State.box
+    let t1 = Timer.now () in
+    Constraints.shake ~exec t.cons t.st.State.box
       ~prev:t.prev_positions x ~masses:t.st.State.masses;
     (* Fold the constraint displacement back into velocities: a per-atom
        map over positions and saved pre-step positions. *)
@@ -395,28 +376,28 @@ let drift t dt =
           v.(i) <- Vec3.scale (1. /. dt) (Vec3.sub x.(i) t.prev_positions.(i))
       done
     in
-    if Exec.n_slots cexec = 1 && not (Exec.sanitizing cexec) then fold 0 n
+    if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then fold 0 n
     else begin
-      let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots cexec) in
-      Exec.parallel_run ~phase:"constraints.fold" cexec (fun s ->
+      let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
+      Exec.parallel_run ~phase:"constraints.fold" exec (fun s ->
           let lo, hi = tiles.(s) in
-          Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi cexec;
-          Exec.declare_read ~slot:s ~resource:"integrate.prev" ~lo ~hi cexec;
+          Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi exec;
+          Exec.declare_read ~slot:s ~resource:"integrate.prev" ~lo ~hi exec;
           Exec.declare_write ~slot:s ~resource:"state.velocities" ~total:n
-            ~lo ~hi cexec;
+            ~lo ~hi exec;
           fold lo hi)
     end;
-    Force_calc.add_constraints_s t.fc (now () -. t1)
+    Force_calc.add_constraints_s t.fc (Timer.since t1)
   end;
   if Virtual_sites.count t.vsites > 0 then
     Virtual_sites.place t.vsites t.st.State.box x
 
 let rattle t =
   if Constraints.count t.cons > 0 then begin
-    let t0 = now () in
-    Constraints.rattle ~exec:(constraints_exec t) t.cons t.st.State.box
+    let t0 = Timer.now () in
+    Constraints.rattle ~exec:(Force_calc.exec t.fc) t.cons t.st.State.box
       t.st.State.positions t.st.State.velocities ~masses:t.st.State.masses;
-    Force_calc.add_constraints_s t.fc (now () -. t0)
+    Force_calc.add_constraints_s t.fc (Timer.since t0)
   end
 
 (* --- barostats --- *)

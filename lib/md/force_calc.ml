@@ -94,8 +94,6 @@ let timings_per_call tm =
     }
   end
 
-let now () = Unix.gettimeofday ()
-
 type bias = {
   bias_name : string;
   bias_compute : Pbc.t -> Vec3.t array -> Mdsp_ff.Bonded.accum -> float;
@@ -107,13 +105,13 @@ type transform = {
 }
 
 module K = Soa_kernels
+module P = Mdsp_ff.Pair_interactions
 
-(* SoA fast-path context: the flat particle store, the flattened pair
-   parameters, and the per-slot scratch for the parallel phases. Slot
+(* The flat particle store every calculator runs its bonded, 1-4 and flat
+   pair kernels on, with the per-slot scratch for the parallel phases. Slot
    stores share the position columns with [store] (only their force
    columns are private), so one load serves every phase. *)
-type soa_ctx = {
-  params : K.pair_params;
+type flat = {
   store : Soa.t;
   sc : K.scratch;
   slot_stores : Soa.t array;
@@ -122,7 +120,7 @@ type soa_ctx = {
   slot_fz : Soa.fa array;
   slot_sc : K.scratch array;
   (* Per-phase slot outputs, preallocated; every slot overwrites its entry
-     before any read, matching the boxed path's fresh arrays bit for bit. *)
+     before any read, so they carry no state across phases. *)
   slot_energy : float array;
   slot_virial : float array;
   eb : float array;
@@ -130,7 +128,7 @@ type soa_ctx = {
   ed : float array;
 }
 
-let make_soa_ctx ~exec params natoms =
+let make_flat ~exec natoms =
   let store = Soa.create natoms in
   let ns = Exec.n_slots exec in
   (* Sanitizing runs take the parallel (declaring) branches even at one
@@ -146,7 +144,6 @@ let make_soa_ctx ~exec params natoms =
         })
   in
   {
-    params;
     store;
     sc = K.make_scratch ();
     slot_stores;
@@ -161,9 +158,32 @@ let make_soa_ctx ~exec params natoms =
     ed = Array.make (max nslots 1) 0.;
   }
 
+(* The loop the pair phase runs: the flat analytic kernel, or the generic
+   loop over the evaluator's [eval]. Either carries the flat parameters
+   the 1-4 kernel reads. *)
+type pair_kernel = Flat of K.pair_params | Generic of K.pair_params
+
+(* The installed evaluator alone picks the kernel. An analytic
+   [of_topology] evaluator for this topology gets the flat loop, with
+   parameters rebuilt from its own recipe and cutoff; tables, FEP lambdas,
+   Switch and custom forms get the generic loop. The 1-4 terms run flat
+   either way, at the evaluator's cutoff. *)
+let kernels_of topo (ev : P.evaluator) =
+  let flat =
+    match ev.P.form with
+    | Some f when f.P.topo == topo ->
+        K.pair_params_of_topology topo ~cutoff:ev.P.cutoff ~trunc:f.P.trunc
+          ~elec:f.P.elec
+    | _ -> None
+  in
+  match flat with
+  | Some pp -> Flat pp
+  | None -> Generic (K.pairs14_params topo ~cutoff:ev.P.cutoff)
+
 type t = {
   topo : Mdsp_ff.Topology.t;
-  mutable evaluator : Mdsp_ff.Pair_interactions.evaluator;
+  mutable evaluator : P.evaluator;
+  mutable kernel : pair_kernel;
   longrange : longrange;
   nlist : Mdsp_space.Neighbor_list.t;
   (* Newest-first; every consumer restores registration order. *)
@@ -171,21 +191,23 @@ type t = {
   mutable transform : transform option;
   charges : float array;
   exec : Exec.t;
-  slots : Mdsp_ff.Bonded.accum array;
+  (* Per-slot accumulators of the generic pair loop, built on first use. *)
+  slots : Mdsp_ff.Bonded.accum array Lazy.t;
   (* Cached handle for the GSE self/excluded corrections: those depend only
      on beta (self) or on the box passed per call (excluded), so the handle
      never goes stale even under a barostat. *)
   mutable gse_ewald : Mdsp_longrange.Ewald.t option;
-  mutable soa : soa_ctx option;
+  flat : flat;
   tm : timings;
 }
 
-let create ?(exec = Exec.serial) ?soa topo ~evaluator ~longrange ~nlist =
+let create ?(exec = Exec.serial) topo ~evaluator ~longrange ~nlist =
   let ns = Exec.n_slots exec in
   let natoms = Mdsp_ff.Topology.n_atoms topo in
   {
     topo;
     evaluator;
+    kernel = kernels_of topo evaluator;
     longrange;
     nlist;
     biases_rev = [];
@@ -193,18 +215,17 @@ let create ?(exec = Exec.serial) ?soa topo ~evaluator ~longrange ~nlist =
     charges = Mdsp_ff.Topology.charges topo;
     exec;
     slots =
-      (if ns > 1 || Exec.sanitizing exec then
-         Mdsp_ff.Bonded.make_slots ~slots:ns natoms
-       else [||]);
+      lazy
+        (if ns > 1 || Exec.sanitizing exec then
+           Mdsp_ff.Bonded.make_slots ~slots:ns natoms
+         else [||]);
     gse_ewald = None;
-    soa =
-      (match soa with
-      | None -> None
-      | Some params -> Some (make_soa_ctx ~exec params natoms));
+    flat = make_flat ~exec natoms;
     tm = zero_timings ();
   }
 
 let topology t = t.topo
+let evaluator t = t.evaluator
 let nlist t = t.nlist
 let exec t = t.exec
 
@@ -213,13 +234,12 @@ let longrange_kind t =
   | Lr_none -> `None
   | Lr_ewald _ -> `Ewald
   | Lr_gse gse -> `Gse (Mdsp_longrange.Gse.grid gse)
-(* A replaced evaluator (tables, FEP lambdas, custom forms) has no flat
-   specialization, so swapping it drops the SoA fast path back to boxed. *)
+
 let set_evaluator t e =
   t.evaluator <- e;
-  t.soa <- None
+  t.kernel <- kernels_of t.topo e
 
-let soa_active t = match t.soa with Some _ -> true | None -> false
+let pair_kernel t = match t.kernel with Flat _ -> `Flat | Generic _ -> `Generic
 let add_bias t b = t.biases_rev <- b :: t.biases_rev
 
 let remove_bias t name =
@@ -306,9 +326,9 @@ let compute_longrange t box positions acc =
 (* Timed phase helper: runs [f ()], charges the elapsed wall time to the
    field selected by [add]. *)
 let timed add f =
-  let t0 = now () in
+  let t0 = Timer.now () in
   let r = f () in
-  add (now () -. t0);
+  add (Timer.since t0);
   r
 
 (* Neighbor refresh, charged to [neighbor_s]; the slice actually spent
@@ -323,24 +343,42 @@ let rebuild_timed t box positions =
   tm.nbuild_s <-
     tm.nbuild_s +. (Mdsp_space.Neighbor_list.build_seconds t.nlist -. nb0)
 
-(* --- SoA fast path -------------------------------------------------- *)
 
-(* Phase mirror of Bonded.all on the flat store: same serial/parallel
-   split, same per-term tilings, declares and reduction, so both the
-   sanitizer view and the accumulated bits match the boxed path. *)
-let soa_bonded t ctx box =
+(* --- the force phases ----------------------------------------------- *)
+
+let serial t = Exec.n_slots t.exec = 1 && not (Exec.sanitizing t.exec)
+
+(* Load positions into the flat store and reset its accumulators; charged
+   to whichever phase runs first. With a multi-slot executor this is the
+   declared ["soa.load"] phase. *)
+let flat_load t box positions =
+  let store = t.flat.store in
+  store.Soa.box <- box;
+  Soa.sync_load ~exec:t.exec store positions;
+  K.reset_scratch t.flat.sc
+
+(* Flush the flat force sums and the virial into [acc] (reset by the
+   caller). Plain overwrite: the flat kernels accumulate in the order of
+   the reference kernels, so this reproduces their accumulator bits. The
+   generic pair loop, long-range and bias phases then add into [acc]; with
+   a multi-slot executor this is the declared ["soa.store"] phase. *)
+let flat_flush t acc =
+  Soa.sync_store ~exec:t.exec t.flat.store acc;
+  acc.Mdsp_ff.Bonded.virial <- t.flat.sc.K.virial
+
+(* Bonded terms on the flat store, with the serial/parallel split, per-term
+   tilings, declares and reduction tree of [Bonded.all]. *)
+let flat_bonded t box =
   let topo = t.topo in
+  let fl = t.flat in
   let ns = Exec.n_slots t.exec in
-  let store = ctx.store in
-  let sc = ctx.sc in
+  let store = fl.store in
+  let sc = fl.sc in
   let nb = Array.length topo.Mdsp_ff.Topology.bonds in
   let na = Array.length topo.Mdsp_ff.Topology.angles in
   let nd = Array.length topo.Mdsp_ff.Topology.dihedrals in
   let ni = Array.length topo.Mdsp_ff.Topology.impropers in
-  if
-    (ns = 1 && not (Exec.sanitizing t.exec))
-    || Mdsp_ff.Bonded.term_count topo = 0
-  then begin
+  if serial t || Mdsp_ff.Bonded.term_count topo = 0 then begin
     sc.K.energy <- 0.;
     K.bonds_range box topo store 0 nb sc;
     let eb = sc.K.energy in
@@ -359,12 +397,12 @@ let soa_bonded t ctx box =
     let a_tiles = Exec.tile_bounds ~total:na ~ntiles:ns in
     let d_tiles = Exec.tile_bounds ~total:nd ~ntiles:ns in
     let i_tiles = Exec.tile_bounds ~total:ni ~ntiles:ns in
-    let eb = ctx.eb and ea = ctx.ea and ed = ctx.ed in
+    let eb = fl.eb and ea = fl.ea and ed = fl.ed in
     let natoms = Soa.n store in
     Exec.parallel_run ~phase:"bonded" t.exec (fun s ->
-        let sst = ctx.slot_stores.(s) in
+        let sst = fl.slot_stores.(s) in
         Soa.clear_forces sst;
-        let ssc = ctx.slot_sc.(s) in
+        let ssc = fl.slot_sc.(s) in
         K.reset_scratch ssc;
         let declare resource tiles total =
           let lo, hi = tiles in
@@ -393,7 +431,7 @@ let soa_bonded t ctx box =
         ssc.K.energy <- 0.;
         K.impropers_range box topo sst lo hi ssc;
         ed.(s) <- e_d +. ssc.K.energy;
-        ctx.slot_virial.(s) <- ssc.K.virial);
+        fl.slot_virial.(s) <- ssc.K.virial);
     K.reduce_slots ~exec:t.exec
       ~reads:
         [
@@ -402,26 +440,33 @@ let soa_bonded t ctx box =
           ("bonded.dihedrals", nd);
           ("bonded.impropers", ni);
         ]
-      ~into:store ~slot_fx:ctx.slot_fx ~slot_fy:ctx.slot_fy
-      ~slot_fz:ctx.slot_fz ~slot_virial:ctx.slot_virial sc;
+      ~into:store ~slot_fx:fl.slot_fx ~slot_fy:fl.slot_fy ~slot_fz:fl.slot_fz
+      ~slot_virial:fl.slot_virial sc;
     (Exec.sum_tree eb, Exec.sum_tree ea, Exec.sum_tree ed)
   end
 
-(* Parallel 1-4 phase, mirror of Pair_interactions.compute_pairs14 (ns > 1
-   path). The skip condition matches the boxed one exactly. *)
-let soa_pairs14_par t ctx box =
-  let params = ctx.params in
+(* Scaled 1-4 terms on the flat store; the skip condition and the tiling
+   are those of [Pair_interactions.compute_pairs14]. *)
+let flat_pairs14 t box =
+  let params = match t.kernel with Flat pp | Generic pp -> pp in
+  let fl = t.flat in
   if not (K.pairs14_active params) then 0.
+  else if serial t then begin
+    let sc = fl.sc in
+    sc.K.energy <- 0.;
+    K.pairs14_range params box fl.store 0 (K.pairs14_count params) sc;
+    sc.K.energy
+  end
   else begin
     let np = K.pairs14_count params in
     let ns = Exec.n_slots t.exec in
     let tiles = Exec.tile_bounds ~total:np ~ntiles:ns in
-    let energies = ctx.slot_energy in
-    let natoms = Soa.n ctx.store in
+    let energies = fl.slot_energy in
+    let natoms = Soa.n fl.store in
     Exec.parallel_run ~phase:"pair14" t.exec (fun s ->
-        let sst = ctx.slot_stores.(s) in
+        let sst = fl.slot_stores.(s) in
         Soa.clear_forces sst;
-        let ssc = ctx.slot_sc.(s) in
+        let ssc = fl.slot_sc.(s) in
         K.reset_scratch ssc;
         let lo, hi = tiles.(s) in
         Exec.declare_write ~slot:s ~resource:"pair.pairs14" ~total:np ~lo ~hi
@@ -430,259 +475,136 @@ let soa_pairs14_par t ctx box =
           t.exec;
         K.pairs14_range params box sst lo hi ssc;
         energies.(s) <- ssc.K.energy;
-        ctx.slot_virial.(s) <- ssc.K.virial);
+        fl.slot_virial.(s) <- ssc.K.virial);
     K.reduce_slots ~exec:t.exec ~reads:[ ("pair.pairs14", np) ]
-      ~into:ctx.store ~slot_fx:ctx.slot_fx ~slot_fy:ctx.slot_fy
-      ~slot_fz:ctx.slot_fz ~slot_virial:ctx.slot_virial ctx.sc;
+      ~into:fl.store ~slot_fx:fl.slot_fx ~slot_fy:fl.slot_fy
+      ~slot_fz:fl.slot_fz ~slot_virial:fl.slot_virial fl.sc;
     Exec.sum_tree energies
   end
 
-(* Parallel pair phase, mirror of Pair_interactions.compute (ns > 1). *)
-let soa_pair_par t ctx box =
-  let ns = Exec.n_slots t.exec in
+(* The flat pair kernel over the neighbor list, with the tiling of
+   [Pair_interactions.compute]. The serial loop sits alone inside a
+   minor-heap probe: the window holds only a unit-returning kernel call and
+   float-record field traffic, so an LJ pair loop measures exactly zero
+   words. The raw-array fetch and the timing field update stay outside. *)
+let flat_pair t pp box =
+  let fl = t.flat in
   let is, js = Mdsp_space.Neighbor_list.raw_pairs t.nlist in
-  let tiles = Mdsp_space.Neighbor_list.tiles t.nlist ~ntiles:ns in
-  let total = snd tiles.(ns - 1) in
-  let energies = ctx.slot_energy in
-  let natoms = Soa.n ctx.store in
-  Exec.parallel_run ~phase:"pair" t.exec (fun s ->
-      let sst = ctx.slot_stores.(s) in
-      Soa.clear_forces sst;
-      let ssc = ctx.slot_sc.(s) in
-      K.reset_scratch ssc;
-      let lo, hi = tiles.(s) in
-      Exec.declare_write ~slot:s ~resource:"pair.tiles" ~total ~lo ~hi t.exec;
-      Exec.declare_read ~slot:s ~resource:"nlist.pairs" ~total ~lo ~hi t.exec;
-      Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
-        t.exec;
-      K.pair_range ctx.params box sst ~is ~js lo hi ssc;
-      energies.(s) <- ssc.K.energy;
-      ctx.slot_virial.(s) <- ssc.K.virial);
-  K.reduce_slots ~exec:t.exec ~reads:[ ("pair.tiles", total) ]
-    ~into:ctx.store ~slot_fx:ctx.slot_fx ~slot_fy:ctx.slot_fy
-    ~slot_fz:ctx.slot_fz ~slot_virial:ctx.slot_virial ctx.sc;
-  Exec.sum_tree energies
+  if serial t then begin
+    let npairs = Mdsp_space.Neighbor_list.length t.nlist in
+    let sc = fl.sc in
+    let w0 = Gc.minor_words () in
+    sc.K.energy <- 0.;
+    K.pair_range pp box fl.store ~is ~js 0 npairs sc;
+    let w1 = Gc.minor_words () in
+    t.tm.pair_words <- t.tm.pair_words +. (w1 -. w0);
+    sc.K.energy
+  end
+  else begin
+    let ns = Exec.n_slots t.exec in
+    let tiles = Mdsp_space.Neighbor_list.tiles t.nlist ~ntiles:ns in
+    let total = snd tiles.(ns - 1) in
+    let energies = fl.slot_energy in
+    let natoms = Soa.n fl.store in
+    Exec.parallel_run ~phase:"pair" t.exec (fun s ->
+        let sst = fl.slot_stores.(s) in
+        Soa.clear_forces sst;
+        let ssc = fl.slot_sc.(s) in
+        K.reset_scratch ssc;
+        let lo, hi = tiles.(s) in
+        Exec.declare_write ~slot:s ~resource:"pair.tiles" ~total ~lo ~hi
+          t.exec;
+        Exec.declare_read ~slot:s ~resource:"nlist.pairs" ~total ~lo ~hi
+          t.exec;
+        Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
+          t.exec;
+        K.pair_range pp box sst ~is ~js lo hi ssc;
+        energies.(s) <- ssc.K.energy;
+        fl.slot_virial.(s) <- ssc.K.virial);
+    K.reduce_slots ~exec:t.exec ~reads:[ ("pair.tiles", total) ]
+      ~into:fl.store ~slot_fx:fl.slot_fx ~slot_fy:fl.slot_fy
+      ~slot_fz:fl.slot_fz ~slot_virial:fl.slot_virial fl.sc;
+    Exec.sum_tree energies
+  end
 
-(* Serial 1-4 + pair kernels with the minor-heap probe around them: the
-   window contains only unit-returning kernel calls and float-record field
-   traffic, so the LJ pair loop measures exactly zero words. Everything
-   that allocates (raw array fetch, result boxing, the timing fields) sits
-   outside the [w0, w1] window. *)
-let soa_pair_serial t ctx box ~with14 =
-  let tm = t.tm in
-  let store = ctx.store in
-  let sc = ctx.sc in
-  let params = ctx.params in
-  let is, js = Mdsp_space.Neighbor_list.raw_pairs t.nlist in
-  let npairs = Mdsp_space.Neighbor_list.length t.nlist in
-  let active14 = with14 && K.pairs14_active params in
-  let np14 = K.pairs14_count params in
-  let w0 = Gc.minor_words () in
-  sc.K.energy <- 0.;
-  if active14 then K.pairs14_range params box store 0 np14 sc;
-  let pair14 = sc.K.energy in
-  sc.K.energy <- 0.;
-  K.pair_range params box store ~is ~js 0 npairs sc;
-  let w1 = Gc.minor_words () in
-  let p = pair14 +. sc.K.energy in
-  tm.pair_words <- tm.pair_words +. (w1 -. w0);
-  p
-
-(* Load positions into the flat store and reset its accumulators; charged
-   to whichever phase runs first on the SoA path. With a multi-slot
-   executor this is the declared ["soa.load"] phase. *)
-let soa_load t ctx box positions =
-  let store = ctx.store in
-  store.Soa.box <- box;
-  Soa.sync_load ~exec:t.exec store positions;
-  K.reset_scratch ctx.sc
-
-(* Flush the flat force sums and the virial into the boxed accumulator.
-   Plain overwrite: the kernels accumulated in the boxed order, so this
-   reproduces the boxed accumulator bits at the phase boundary. The
-   longrange / bias phases then keep adding into [acc] exactly as before —
-   this is the gather/spread synchronization point (the declared
-   ["soa.store"] phase on a multi-slot executor). *)
-let soa_flush t ctx acc =
-  Soa.sync_store ~exec:t.exec ctx.store acc;
-  acc.Mdsp_ff.Bonded.virial <- ctx.sc.K.virial
-
-let compute_soa t ctx box positions acc =
-  Mdsp_ff.Bonded.reset acc;
-  let tm = t.tm in
-  rebuild_timed t box positions;
-  let bond, angle, dihedral =
-    timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
-        soa_load t ctx box positions;
-        soa_bonded t ctx box)
-  in
-  let pair =
-    timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-        let p =
-          if Exec.n_slots t.exec = 1 && not (Exec.sanitizing t.exec) then
-            soa_pair_serial t ctx box ~with14:true
-          else begin
-            let pair14 = soa_pairs14_par t ctx box in
-            pair14 +. soa_pair_par t ctx box
-          end
-        in
-        soa_flush t ctx acc;
-        p)
-  in
-  let recip, correction =
-    timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
-        compute_longrange t box positions acc)
-  in
-  let e =
-    timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
-        let bias = compute_biases t box positions acc in
-        let e = { bond; angle; dihedral; pair; recip; correction; bias } in
-        match t.transform with
-        | None -> e
-        | Some tr ->
-            let boost = tr.tr_apply box positions acc (total e) in
-            { e with bias = e.bias +. boost })
-  in
-  tm.calls <- tm.calls + 1;
-  e
-
-let compute_boxed t box positions acc =
-  Mdsp_ff.Bonded.reset acc;
-  let tm = t.tm in
-  rebuild_timed t box positions;
-  let bond, angle, dihedral =
-    timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
-        Mdsp_ff.Bonded.all ~exec:t.exec ~slots:t.slots box t.topo positions
-          acc)
-  in
-  let pair =
-    timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-        let pair14 =
-          Mdsp_ff.Pair_interactions.compute_pairs14 ~exec:t.exec
-            ~slots:t.slots t.topo
-            ~cutoff:t.evaluator.Mdsp_ff.Pair_interactions.cutoff box positions
-            acc
-        in
-        pair14
-        +. Mdsp_ff.Pair_interactions.compute ~exec:t.exec ~slots:t.slots
-             t.evaluator box t.nlist positions acc)
-  in
-  let recip, correction =
-    timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
-        compute_longrange t box positions acc)
-  in
-  let e =
-    timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
-        let bias = compute_biases t box positions acc in
-        let e = { bond; angle; dihedral; pair; recip; correction; bias } in
-        match t.transform with
-        | None -> e
-        | Some tr ->
-            let boost = tr.tr_apply box positions acc (total e) in
-            { e with bias = e.bias +. boost })
-  in
-  tm.calls <- tm.calls + 1;
-  e
+(* The pair kernel the evaluator picked, and the flush of the flat sums
+   into [acc]. The flat loop accumulates on the store before the flush; the
+   generic loop adds into [acc] after it. Either way [acc] sums bonded,
+   1-4 and pair forces in the order of the reference sum
+   [Bonded.all] + [compute_pairs14] + [Pair_interactions.compute]. *)
+let pair_phase t box positions acc =
+  match t.kernel with
+  | Flat pp ->
+      let p = flat_pair t pp box in
+      flat_flush t acc;
+      p
+  | Generic _ ->
+      flat_flush t acc;
+      P.compute ~exec:t.exec ~slots:(Lazy.force t.slots) t.evaluator box
+        t.nlist positions acc
 
 let compute t box positions acc =
-  match t.soa with
-  | Some ctx -> compute_soa t ctx box positions acc
-  | None -> compute_boxed t box positions acc
-
-(* RESPA class split on the flat store, mirroring the boxed branches. *)
-let compute_class_soa t ctx cls box positions acc =
   Mdsp_ff.Bonded.reset acc;
   let tm = t.tm in
-  match cls with
-  | `Fast ->
-      let bond, angle, dihedral =
-        timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
-            soa_load t ctx box positions;
-            soa_bonded t ctx box)
-      in
-      let pair14 =
-        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-            let p =
-              if Exec.n_slots t.exec = 1 && not (Exec.sanitizing t.exec)
-              then begin
-                let params = ctx.params in
-                let sc = ctx.sc in
-                if K.pairs14_active params then begin
-                  sc.K.energy <- 0.;
-                  K.pairs14_range params box ctx.store 0
-                    (K.pairs14_count params) sc;
-                  sc.K.energy
-                end
-                else 0.
-              end
-              else soa_pairs14_par t ctx box
-            in
-            soa_flush t ctx acc;
-            p)
-      in
-      let bias =
-        timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
-            compute_biases t box positions acc)
-      in
-      { zero_energies with bond; angle; dihedral; pair = pair14; bias }
-  | `Slow ->
-      rebuild_timed t box positions;
-      let pair =
-        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-            soa_load t ctx box positions;
-            let p =
-              if Exec.n_slots t.exec = 1 && not (Exec.sanitizing t.exec) then
-                soa_pair_serial t ctx box ~with14:false
-              else soa_pair_par t ctx box
-            in
-            soa_flush t ctx acc;
-            p)
-      in
-      let recip, correction =
-        timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
-            compute_longrange t box positions acc)
-      in
-      tm.calls <- tm.calls + 1;
-      { zero_energies with pair; recip; correction }
-
-(* Dispatch added below, after the boxed class-split body. *)
-let compute_class_boxed t cls box positions acc =
-  Mdsp_ff.Bonded.reset acc;
-  let tm = t.tm in
-  match cls with
-  | `Fast ->
-      let bond, angle, dihedral =
-        timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
-            Mdsp_ff.Bonded.all ~exec:t.exec ~slots:t.slots box t.topo
-              positions acc)
-      in
-      let pair14 =
-        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-            Mdsp_ff.Pair_interactions.compute_pairs14 ~exec:t.exec
-              ~slots:t.slots t.topo
-              ~cutoff:t.evaluator.Mdsp_ff.Pair_interactions.cutoff box
-              positions acc)
-      in
-      let bias =
-        timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
-            compute_biases t box positions acc)
-      in
-      { zero_energies with bond; angle; dihedral; pair = pair14; bias }
-  | `Slow ->
-      rebuild_timed t box positions;
-      let pair =
-        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
-            Mdsp_ff.Pair_interactions.compute ~exec:t.exec ~slots:t.slots
-              t.evaluator box t.nlist positions acc)
-      in
-      let recip, correction =
-        timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
-            compute_longrange t box positions acc)
-      in
-      tm.calls <- tm.calls + 1;
-      { zero_energies with pair; recip; correction }
+  rebuild_timed t box positions;
+  let bond, angle, dihedral =
+    timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
+        flat_load t box positions;
+        flat_bonded t box)
+  in
+  let pair =
+    timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
+        let pair14 = flat_pairs14 t box in
+        pair14 +. pair_phase t box positions acc)
+  in
+  let recip, correction =
+    timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
+        compute_longrange t box positions acc)
+  in
+  let e =
+    timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
+        let bias = compute_biases t box positions acc in
+        let e = { bond; angle; dihedral; pair; recip; correction; bias } in
+        match t.transform with
+        | None -> e
+        | Some tr ->
+            let boost = tr.tr_apply box positions acc (total e) in
+            { e with bias = e.bias +. boost })
+  in
+  tm.calls <- tm.calls + 1;
+  e
 
 let compute_class t cls box positions acc =
-  match t.soa with
-  | Some ctx -> compute_class_soa t ctx cls box positions acc
-  | None -> compute_class_boxed t cls box positions acc
+  Mdsp_ff.Bonded.reset acc;
+  let tm = t.tm in
+  match cls with
+  | `Fast ->
+      let bond, angle, dihedral =
+        timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
+            flat_load t box positions;
+            flat_bonded t box)
+      in
+      let pair14 =
+        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
+            let p = flat_pairs14 t box in
+            flat_flush t acc;
+            p)
+      in
+      let bias =
+        timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
+            compute_biases t box positions acc)
+      in
+      { zero_energies with bond; angle; dihedral; pair = pair14; bias }
+  | `Slow ->
+      rebuild_timed t box positions;
+      let pair =
+        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
+            flat_load t box positions;
+            pair_phase t box positions acc)
+      in
+      let recip, correction =
+        timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
+            compute_longrange t box positions acc)
+      in
+      tm.calls <- tm.calls + 1;
+      { zero_energies with pair; recip; correction }

@@ -1,11 +1,18 @@
 (** Full force-field evaluation: bonded + short-range pairs + long-range
     electrostatics + externally registered biases.
 
-    The short-range pair part goes through an abstract
-    {!Mdsp_ff.Pair_interactions.evaluator}, which is the seam where the
-    machine model substitutes its table-driven pipelines for the analytic
-    reference. Biases (restraints, metadynamics hills, boost potentials...)
-    are closures registered by the sampling methods. *)
+    One pipeline serves every evaluator. Bonded and scaled 1-4 terms always
+    run the flat {!Soa_kernels} loops over a {!Soa} store. The short-range
+    pair phase goes through an {!Mdsp_ff.Pair_interactions.evaluator}, the
+    seam where the machine model substitutes its table-driven pipelines for
+    the analytic reference: an analytic evaluator (one whose [form] records
+    an {!Mdsp_ff.Pair_interactions.of_topology} recipe for this topology,
+    any truncation but [Switch]) runs the flat allocation-free pair kernel;
+    any other evaluator runs the generic {!Mdsp_ff.Pair_interactions.compute}
+    loop over its [eval]. Results equal the direct reference sum
+    [Bonded.all] + [compute_pairs14] + [Pair_interactions.compute] bit for
+    bit. Biases (restraints, metadynamics hills, boost potentials...) are
+    closures registered by the sampling methods. *)
 
 open Mdsp_util
 
@@ -52,12 +59,10 @@ val zero_energies : energies
     O-step, velocity rescales) are charged the same way via
     {!add_constraints_s}/{!add_thermostat_s} — the buckets that are not
     force work.
-    [pair_words] is not a time at all:
-    it is the cumulative minor-heap allocation (in words, from
-    [Gc.minor_words]) of the short-range pair kernels — on the serial SoA
-    path the LJ pair loop is allocation-free and this stays exactly 0,
-    which [bench e21] asserts. On the boxed path it counts the closure and
-    box traffic of the reference kernels. *)
+    [pair_words] is not a time at all: it is the cumulative minor-heap
+    allocation (in words, from [Gc.minor_words]) of the serial flat pair
+    loop, which allocates nothing, so this stays exactly 0 — [bench e21]
+    asserts it. Parallel runs and the generic loop do not meter it. *)
 type timings = {
   mutable pair_s : float;
   mutable bonded_s : float;
@@ -103,23 +108,13 @@ type transform = {
 
 type t
 
-(** [create ?exec ?soa topo ~evaluator ~longrange ~nlist] builds the
-    calculator. [exec] (default {!Mdsp_util.Exec.serial}) selects the
-    execution backend for the pair and bonded phases; per-slot scratch
-    accumulators are sized here and reused across steps.
-
-    [soa] installs the flat (structure-of-arrays) fast path: the bonded,
-    1-4 and short-range pair phases then run the {!Soa_kernels} batched
-    loops over a {!Soa} store instead of the boxed reference kernels. The
-    flat parameters must describe the same (topology, cutoff, truncation,
-    electrostatics) as [evaluator] — build them with
-    {!Soa_kernels.pair_params_of_topology} at the same call site. Results
-    are bitwise identical to the boxed path; long-range, biases and
-    transforms always stay boxed (the store syncs back at the pair-phase
-    boundary). *)
+(** [create ?exec topo ~evaluator ~longrange ~nlist] builds the calculator
+    and its flat store. [exec] (default {!Mdsp_util.Exec.serial}) selects
+    the execution backend for the pair and bonded phases; per-slot scratch
+    is sized here and reused across steps. [evaluator] picks the pair
+    kernel as described above. *)
 val create :
   ?exec:Exec.t ->
-  ?soa:Soa_kernels.pair_params ->
   Mdsp_ff.Topology.t ->
   evaluator:Mdsp_ff.Pair_interactions.evaluator ->
   longrange:longrange ->
@@ -127,6 +122,9 @@ val create :
   t
 
 val topology : t -> Mdsp_ff.Topology.t
+
+(** The installed pair evaluator. *)
+val evaluator : t -> Mdsp_ff.Pair_interactions.evaluator
 val nlist : t -> Mdsp_space.Neighbor_list.t
 
 (** The execution backend the calculator runs on. *)
@@ -157,14 +155,14 @@ val add_constraints_s : t -> float -> unit
 val add_thermostat_s : t -> float -> unit
 
 (** Replace the pair evaluator (FEP lambda switching, machine
-    substitution). This also disables the SoA fast path if one was
-    installed: a swapped-in evaluator has no flat specialization, so the
-    calculator falls back to the boxed reference kernels. *)
+    substitution). The pair kernel is picked again from the new evaluator:
+    an analytic one gets the flat loop with parameters rebuilt from its own
+    recipe and cutoff, any other the generic loop; the 1-4 terms follow its
+    cutoff. *)
 val set_evaluator : t -> Mdsp_ff.Pair_interactions.evaluator -> unit
 
-(** Whether the flat (SoA) fast path is currently driving the bonded and
-    pair phases. *)
-val soa_active : t -> bool
+(** Which loop the pair phase runs under the installed evaluator. *)
+val pair_kernel : t -> [ `Flat | `Generic ]
 
 val add_bias : t -> bias -> unit
 

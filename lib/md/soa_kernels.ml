@@ -50,86 +50,94 @@ type pair_params = {
   scale14_coul : float;
 }
 
-(* Switch truncation keeps the boxed evaluator (no flat specialization);
-   table/custom evaluators never reach this builder. *)
-let pair_params_of_topology (topo : Topology.t) ~cutoff
-    ~(trunc : Nonbonded.truncation) ~(elec : Pair_interactions.electrostatics)
-    =
+(* [trunc] only decides whether [shift] is filled: Switch has no flat pair
+   kernel, so [pair_params_of_topology] never flattens it. *)
+let flatten (topo : Topology.t) ~cutoff ~(trunc : Nonbonded.truncation)
+    ~(elec : Pair_interactions.electrostatics) =
+  let ntypes = Array.length topo.lj_types in
+  let type_of =
+    Array.map (fun (a : Topology.atom) -> a.type_id) topo.atoms
+  in
+  let nt2 = ntypes * ntypes in
+  let eps4 = Array.make nt2 0. in
+  let eps24 = Array.make nt2 0. in
+  let sig2 = Array.make nt2 0. in
+  let shift = Array.make nt2 0. in
+  let shift14 = Array.make nt2 0. in
+  for ti = 0 to ntypes - 1 do
+    for tj = 0 to ntypes - 1 do
+      let k = (ti * ntypes) + tj in
+      let lj =
+        Nonbonded.lorentz_berthelot topo.lj_types.(ti) topo.lj_types.(tj)
+      in
+      (match lj with
+      | Nonbonded.Lennard_jones { epsilon; sigma } ->
+          eps4.(k) <- 4. *. epsilon;
+          eps24.(k) <- 24. *. epsilon;
+          sig2.(k) <- sigma *. sigma
+      | _ -> assert false);
+      (* shift_at is pure, so hoisting it out of the pair loop keeps the
+         exact bits the boxed path subtracts per pair. *)
+      (match trunc with
+      | Nonbonded.Shift -> shift.(k) <- Nonbonded.shift_at lj cutoff
+      | _ -> ());
+      shift14.(k) <- Nonbonded.shift_at lj cutoff
+    done
+  done;
+  let q = Topology.charges topo in
+  let cq = Array.map (fun qi -> Units.coulomb *. qi) q in
+  let elec =
+    match elec with
+    | Pair_interactions.No_coulomb -> Ek_none
+    | Pair_interactions.Cutoff_coulomb -> Ek_cutoff
+    | Pair_interactions.Reaction_field { epsilon_rf } ->
+        (* Same krf/crf arithmetic as Pair_interactions.of_topology. *)
+        let k =
+          (epsilon_rf -. 1.)
+          /. ((2. *. epsilon_rf) +. 1.)
+          /. (cutoff *. cutoff *. cutoff)
+        in
+        Ek_rf { krf = k; crf = (1. /. cutoff) +. (k *. cutoff *. cutoff) }
+    | Pair_interactions.Ewald_real { beta } -> Ek_ewald { beta }
+  in
+  let np14 = Array.length topo.pairs14 in
+  let p14i = Array.make np14 0 and p14j = Array.make np14 0 in
+  Array.iteri
+    (fun k (i, j) ->
+      p14i.(k) <- i;
+      p14j.(k) <- j)
+    topo.pairs14;
+  {
+    cutoff;
+    rc2 = cutoff *. cutoff;
+    ntypes;
+    type_of;
+    eps4;
+    eps24;
+    sig2;
+    shift;
+    shift14;
+    q;
+    cq;
+    elec;
+    p14i;
+    p14j;
+    scale14_lj = topo.scale14_lj;
+    scale14_coul = topo.scale14_coul;
+  }
+
+let pair_params_of_topology topo ~cutoff ~(trunc : Nonbonded.truncation)
+    ~elec =
   match trunc with
   | Switch _ -> None
-  | (Truncate | Shift) as trunc ->
-      let ntypes = Array.length topo.lj_types in
-      let type_of =
-        Array.map (fun (a : Topology.atom) -> a.type_id) topo.atoms
-      in
-      let nt2 = ntypes * ntypes in
-      let eps4 = Array.make nt2 0. in
-      let eps24 = Array.make nt2 0. in
-      let sig2 = Array.make nt2 0. in
-      let shift = Array.make nt2 0. in
-      let shift14 = Array.make nt2 0. in
-      for ti = 0 to ntypes - 1 do
-        for tj = 0 to ntypes - 1 do
-          let k = (ti * ntypes) + tj in
-          let lj =
-            Nonbonded.lorentz_berthelot topo.lj_types.(ti) topo.lj_types.(tj)
-          in
-          (match lj with
-          | Nonbonded.Lennard_jones { epsilon; sigma } ->
-              eps4.(k) <- 4. *. epsilon;
-              eps24.(k) <- 24. *. epsilon;
-              sig2.(k) <- sigma *. sigma
-          | _ -> assert false);
-          (* shift_at is pure, so hoisting it out of the pair loop keeps the
-             exact bits the boxed path subtracts per pair. *)
-          (match trunc with
-          | Nonbonded.Shift -> shift.(k) <- Nonbonded.shift_at lj cutoff
-          | _ -> ());
-          shift14.(k) <- Nonbonded.shift_at lj cutoff
-        done
-      done;
-      let q = Topology.charges topo in
-      let cq = Array.map (fun qi -> Units.coulomb *. qi) q in
-      let elec =
-        match elec with
-        | Pair_interactions.No_coulomb -> Ek_none
-        | Pair_interactions.Cutoff_coulomb -> Ek_cutoff
-        | Pair_interactions.Reaction_field { epsilon_rf } ->
-            (* Same krf/crf arithmetic as Pair_interactions.of_topology. *)
-            let k =
-              (epsilon_rf -. 1.)
-              /. ((2. *. epsilon_rf) +. 1.)
-              /. (cutoff *. cutoff *. cutoff)
-            in
-            Ek_rf { krf = k; crf = (1. /. cutoff) +. (k *. cutoff *. cutoff) }
-        | Pair_interactions.Ewald_real { beta } -> Ek_ewald { beta }
-      in
-      let np14 = Array.length topo.pairs14 in
-      let p14i = Array.make np14 0 and p14j = Array.make np14 0 in
-      Array.iteri
-        (fun k (i, j) ->
-          p14i.(k) <- i;
-          p14j.(k) <- j)
-        topo.pairs14;
-      Some
-        {
-          cutoff;
-          rc2 = cutoff *. cutoff;
-          ntypes;
-          type_of;
-          eps4;
-          eps24;
-          sig2;
-          shift;
-          shift14;
-          q;
-          cq;
-          elec;
-          p14i;
-          p14j;
-          scale14_lj = topo.scale14_lj;
-          scale14_coul = topo.scale14_coul;
-        }
+  | Truncate | Shift -> Some (flatten topo ~cutoff ~trunc ~elec)
+
+(* The 1-4 kernel reads only the topology and the cutoff (it always shifts
+   and always uses plain cutoff Coulomb), so the pair-kernel choices here
+   are placeholders. *)
+let pairs14_params topo ~cutoff =
+  flatten topo ~cutoff ~trunc:Nonbonded.Truncate
+    ~elec:Pair_interactions.No_coulomb
 
 (* Same constant expression as Nonbonded.two_over_sqrt_pi (not exported). *)
 let two_over_sqrt_pi = 2. /. sqrt Float.pi

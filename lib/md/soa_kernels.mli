@@ -27,8 +27,8 @@ val reset_scratch : scratch -> unit
 type pair_params
 
 (** [pair_params_of_topology topo ~cutoff ~trunc ~elec] flattens the
-    analytic evaluator. Returns [None] for [Switch] truncation (the boxed
-    evaluator stays authoritative there); table and custom evaluators never
+    analytic evaluator. Returns [None] for [Switch] truncation, which only
+    the generic evaluator loop covers; table and custom evaluators never
     have a flat form. *)
 val pair_params_of_topology :
   Mdsp_ff.Topology.t ->
@@ -36,6 +36,12 @@ val pair_params_of_topology :
   trunc:Mdsp_ff.Nonbonded.truncation ->
   elec:Mdsp_ff.Pair_interactions.electrostatics ->
   pair_params option
+
+(** [pairs14_params topo ~cutoff] is a parameter set fit for
+    {!pairs14_range} only: the 1-4 kernel depends on nothing but the
+    topology and the cutoff, so every evaluator, opaque ones included, gets
+    flat 1-4 terms. *)
+val pairs14_params : Mdsp_ff.Topology.t -> cutoff:float -> pair_params
 
 (** [pair_range pp box s ~is ~js lo hi sc] runs the nonbonded pair kernel
     over pair-list entries [lo, hi) of the flat index arrays [is]/[js]

@@ -40,7 +40,7 @@ let buf_push b i j =
   b.cnt <- b.cnt + 1
 
 let do_build t positions =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Timer.now () in
   let r = t.cutoff +. t.skin in
   let r2 = r *. r in
   let exec = t.exec in
@@ -95,7 +95,7 @@ let do_build t positions =
   t.npairs <- total;
   t.ref_positions <- Array.copy positions;
   t.rebuilds <- t.rebuilds + 1;
-  t.build_s <- t.build_s +. (Unix.gettimeofday () -. t0)
+  t.build_s <- t.build_s +. Timer.since t0
 
 let create ?exclusions ?(exec = Exec.serial) ~cutoff ~skin box positions =
   if cutoff <= 0. then invalid_arg "Neighbor_list.create: cutoff";

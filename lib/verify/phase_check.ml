@@ -12,14 +12,15 @@ module W = Mdsp_workload.Workloads
    gather -> kick1 ordering through the per-name graph and manufacture a
    cycle that no single step contains. *)
 
-(* One velocity-Verlet step of a solvated water box on the SoA hot path
-   with the GSE grid solver: the integrator sweeps (kick1 / drift / kick2),
-   the boxed<->SoA sync, the SoA bonded / 1-4 / pair tiles with their
-   per-atom reduction, and every grid-pipeline phase (spread / combine /
-   both FFT passes / convolve / phi scale / gather). *)
+(* One velocity-Verlet step of a solvated water box with the GSE grid
+   solver, on the flat pair kernel of its analytic evaluator: the
+   integrator sweeps (kick1 / drift / kick2), the flat store's load and
+   store, the flat bonded / 1-4 / pair tiles with their per-atom reduction,
+   and every grid-pipeline phase (spread / combine / both FFT passes /
+   convolve / phi scale / gather). *)
 let step_soa ~exec () =
   let eng =
-    W.make_engine ~seed:13 ~exec ~gse_grid:(16, 16, 16) ~soa:true
+    W.make_engine ~seed:13 ~exec ~gse_grid:(16, 16, 16)
       (W.water_box ~n_side:3 ())
   in
   fun () -> E.step eng
@@ -39,20 +40,36 @@ let scaled14_chain () =
       };
   }
 
-(* One step of a charged bead chain on the boxed reference path: bond /
-   angle / dihedral tiles, 1-4 and reaction-field pair tiles, the boxed
-   per-atom reduction, and the integrator sweeps. *)
-let step_boxed ~exec () =
-  let eng = W.make_engine ~seed:5 ~exec (scaled14_chain ()) in
+(* One step of a charged bead chain on compiled machine tables: the flat
+   bond / angle / dihedral and 1-4 tiles, then the generic pair loop over
+   the table evaluator with its per-atom reduction into the force array,
+   and the integrator sweeps. *)
+let step_tables ~exec () =
+  let sys = scaled14_chain () in
+  let eng = W.make_engine ~seed:5 ~exec sys in
+  let fc = E.force_calc eng in
+  let cutoff = Mdsp_space.Neighbor_list.cutoff (FC.nlist fc) in
+  let topo = sys.W.topo in
+  let tables =
+    Mdsp_core.Table.table_set_of_topology topo ~cutoff
+      ~elec:(Mdsp_ff.Pair_interactions.Reaction_field { epsilon_rf = 78.5 })
+      ~n:512 ()
+  in
+  FC.set_evaluator fc
+    (Mdsp_machine.Htis.evaluator tables
+       ~types:(Array.map (fun (a : Mdsp_ff.Topology.atom) -> a.type_id)
+                 topo.Mdsp_ff.Topology.atoms)
+       ~charges:(Mdsp_ff.Topology.charges topo) ~cutoff);
+  E.refresh_forces eng;
   fun () -> E.step eng
 
-(* Forced neighbor rebuild followed by a full SoA force evaluation: the
-   tiled cell-list bin and pair-list build run first, so the pair phase's
-   read of the fresh list appears as an in-window nbuild -> pair edge. *)
+(* Forced neighbor rebuild followed by a full force evaluation on the
+   flat pair kernel: the tiled cell-list bin and pair-list build run first,
+   so the pair phase's read of the fresh list appears as an in-window
+   nbuild -> pair edge. *)
 let rebuild_soa ~exec () =
   let eng =
-    W.make_engine ~seed:5 ~exec ~soa:true
-      (W.bead_chain ~n_beads:16 ~n_total:256 ())
+    W.make_engine ~seed:5 ~exec (W.bead_chain ~n_beads:16 ~n_total:256 ())
   in
   let st = E.state eng in
   let acc = Mdsp_ff.Bonded.make_accum (Mdsp_md.State.n st) in
@@ -63,7 +80,7 @@ let rebuild_soa ~exec () =
          st.Mdsp_md.State.positions);
     ignore (FC.compute fc st.Mdsp_md.State.box st.Mdsp_md.State.positions acc)
 
-(* The boxed<->SoA sync pair on its own: [of_state] (phase soa.load, with
+(* The Vec3-array <-> flat-store sync pair on its own: [of_state] (phase soa.load, with
    the velocity columns) into [to_state] (phase soa.store). *)
 let soa_sync ~exec () =
   let sys = W.bead_chain ~n_beads:8 ~n_total:64 () in
@@ -127,10 +144,10 @@ let service_slice ~exec () =
 let collective ~exec () = fun () -> ignore (Exec.map_slots exec (fun s -> s))
 
 (* One velocity-Verlet step of a rigid water box with a Berendsen
-   thermostat on the boxed path: the batched SHAKE/RATTLE cluster sweeps,
-   the constraint velocity fold, and the end-of-step thermostat velocity
-   rescale. (step.soa covers the same constraint phases on the SoA path,
-   but never rescales — No_thermostat.) *)
+   thermostat: the batched SHAKE/RATTLE cluster sweeps, the constraint
+   velocity fold, and the end-of-step thermostat velocity rescale.
+   (step.soa covers the same constraint phases but never rescales —
+   No_thermostat.) *)
 let step_thermo ~exec () =
   let cfg =
     {
@@ -163,7 +180,7 @@ let step_langevin ~exec () =
 let windows =
   [
     ("step.soa", step_soa);
-    ("step.boxed", step_boxed);
+    ("step.tables", step_tables);
     ("step.thermo", step_thermo);
     ("step.langevin", step_langevin);
     ("rebuild.soa", rebuild_soa);

@@ -112,10 +112,12 @@ val of_name : string -> system
     [exec]. Ignored for uncharged systems; an explicit [elec] still wins
     for the pair part.
 
-    [soa] (default false) installs the flat structure-of-arrays fast path
-    for the bonded/1-4/pair phases ({!Mdsp_md.Soa_kernels}); results are
-    bitwise identical to the boxed reference kernels. The neighbor list
-    always runs its tiled rebuild on [exec] regardless. *)
+    The pair evaluator is the analytic
+    {!Mdsp_ff.Pair_interactions.of_topology} form (shifted LJ), so the
+    engine runs the flat pair kernel ({!Mdsp_md.Soa_kernels}) until a
+    caller installs another evaluator with
+    {!Mdsp_md.Force_calc.set_evaluator}. The neighbor list runs its tiled
+    rebuild on [exec]. *)
 val make_engine :
   ?config:Mdsp_md.Engine.config ->
   ?cutoff:float ->
@@ -123,6 +125,5 @@ val make_engine :
   ?gse_grid:int * int * int ->
   ?seed:int ->
   ?exec:Exec.t ->
-  ?soa:bool ->
   system ->
   Mdsp_md.Engine.t

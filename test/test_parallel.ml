@@ -239,161 +239,125 @@ let test_parallel_determinism_trajectory () =
   Array.iteri (fun i p -> if p <> pos2.(i) then identical := false) pos1;
   check_true "trajectory positions bit-identical" !identical
 
-let test_integrator_sweeps_bitwise () =
-  (* The kick/drift sweeps are per-atom independent, so running them tiled
-     over the pool must reproduce the serial sweeps bit-for-bit at every
-     slot count — same pool for the forces, only the integrator differs.
-     Constraints, thermostat and rebuilds all stay in the loop. *)
-  let run ~slots ~serial_integrator =
-    let sys = Mdsp_workload.Workloads.water_box ~n_side:3 () in
-    let exec =
-      if slots = 1 then Exec.serial
-      else Exec.create (Exec.Domains { n = slots })
-    in
-    let cfg =
+(* The sweep identity cases compare a pooled engine against an
+   [Exec.serial] engine built from the same system and seed. Force phases
+   on a pool sum per-slot partials with a reduction tree, so the two
+   engines' forces agree only to rounding; these cases therefore run an
+   interaction-free copy of the system (LJ wells, charges and bonded terms
+   zeroed), whose force phases contribute exact zeros on both engines,
+   while the serial double-well bias supplies position-dependent forces
+   for the kicks. Any bit of difference between the two trajectories then
+   comes from the integrator, constraint or thermostat sweeps. At one slot
+   the pooled side is a sanitizing serial executor, which takes the
+   declaring parallel branches with a single tile. *)
+let interaction_free (sys : Mdsp_workload.Workloads.system) =
+  let t = sys.Mdsp_workload.Workloads.topo in
+  {
+    sys with
+    Mdsp_workload.Workloads.topo =
       {
-        E.default_config with
-        dt_fs = 1.0;
-        temperature = 300.;
-        thermostat = E.Langevin { gamma_fs = 0.02 };
-      }
-    in
-    let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:11 ~exec sys in
-    E.set_serial_integrator eng serial_integrator;
-    E.run eng 20;
-    let st = E.state eng in
-    let pos = Array.copy st.Mdsp_md.State.positions in
-    let vel = Array.copy st.Mdsp_md.State.velocities in
-    if slots > 1 then Exec.shutdown exec;
-    (pos, vel)
+        t with
+        Mdsp_ff.Topology.atoms =
+          Array.map
+            (fun (a : Mdsp_ff.Topology.atom) -> { a with charge = 0. })
+            t.Mdsp_ff.Topology.atoms;
+        lj_types = Array.map (fun (_, sigma) -> (0., sigma)) t.lj_types;
+        bonds = [||];
+        angles = [||];
+        dihedrals = [||];
+        impropers = [||];
+        pairs14 = [||];
+      };
+  }
+
+let sweep_run ~cfg ~seed ~steps exec sys =
+  let eng =
+    Mdsp_workload.Workloads.make_engine ~config:cfg ~seed ~exec
+      (interaction_free sys)
   in
+  FC.add_bias (E.force_calc eng)
+    (Mdsp_workload.Workloads.double_well_bias ~barrier:1.0 ~half_width:4.0);
+  E.refresh_forces eng;
+  E.run eng steps;
+  let st = E.state eng in
+  let pos = Array.copy st.Mdsp_md.State.positions in
+  let vel = Array.copy st.Mdsp_md.State.velocities in
+  Exec.shutdown exec;
+  (pos, vel)
+
+let check_sweeps_bitwise ?(slots = [ 1; 2; 4 ]) name ~cfg ~seed ~steps sys =
+  let pos_s, vel_s = sweep_run ~cfg ~seed ~steps Exec.serial sys in
   List.iter
-    (fun slots ->
-      let pos_p, vel_p = run ~slots ~serial_integrator:false in
-      let pos_s, vel_s = run ~slots ~serial_integrator:true in
+    (fun n ->
+      let exec =
+        if n = 1 then Exec.create ~sanitize:true Exec.Serial
+        else Exec.create (Exec.Domains { n })
+      in
+      let pos_p, vel_p = sweep_run ~cfg ~seed ~steps exec sys in
       check_true
-        (Printf.sprintf "positions bitwise at %d slots" slots)
+        (Printf.sprintf "%s positions bitwise at %d slots" name n)
         (pos_p = pos_s);
       check_true
-        (Printf.sprintf "velocities bitwise at %d slots" slots)
+        (Printf.sprintf "%s velocities bitwise at %d slots" name n)
         (vel_p = vel_s))
-    [ 1; 2; 4 ]
+    slots
+
+let test_integrator_sweeps_bitwise () =
+  (* The kick/drift sweeps are per-atom independent, so running them tiled
+     over the pool must reproduce the serial sweeps bit-for-bit. An
+     unconstrained, unthermostatted fluid isolates them. *)
+  check_sweeps_bitwise "integrator"
+    ~cfg:{ E.default_config with dt_fs = 2.0; temperature = 120. }
+    ~seed:11 ~steps:20
+    (Mdsp_workload.Workloads.lj_fluid ~n:256 ())
 
 let test_constraint_sweeps_bitwise () =
   (* The batched SHAKE/RATTLE cluster sweeps, the constraint velocity fold
      and the Langevin O-step all run over the pool; the coloring
      certificate (Mdsp_verify.Schedule) says same-batch clusters are
      atom-disjoint and the O-step uses per-atom derived streams, so the
-     tiled sweeps must reproduce the serial solver bit-for-bit at every
-     slot count — same pool for the forces, only the constraint/thermostat
-     executor differs. *)
-  let run ~slots ~serial =
-    let sys = Mdsp_workload.Workloads.water_box ~n_side:3 () in
-    let exec =
-      if slots = 1 then Exec.serial
-      else Exec.create (Exec.Domains { n = slots })
-    in
-    let cfg =
+     tiled sweeps must reproduce the serial solver bit-for-bit. *)
+  check_sweeps_bitwise "constraints"
+    ~cfg:
       {
         E.default_config with
         dt_fs = 1.0;
         temperature = 300.;
         thermostat = E.Langevin { gamma_fs = 0.02 };
       }
-    in
-    let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:11 ~exec sys in
-    E.set_serial_constraints eng serial;
-    E.run eng 20;
-    let st = E.state eng in
-    let pos = Array.copy st.Mdsp_md.State.positions in
-    let vel = Array.copy st.Mdsp_md.State.velocities in
-    if slots > 1 then Exec.shutdown exec;
-    (pos, vel)
-  in
-  List.iter
-    (fun slots ->
-      let pos_p, vel_p = run ~slots ~serial:false in
-      let pos_s, vel_s = run ~slots ~serial:true in
-      check_true
-        (Printf.sprintf "positions bitwise at %d slots" slots)
-        (pos_p = pos_s);
-      check_true
-        (Printf.sprintf "velocities bitwise at %d slots" slots)
-        (vel_p = vel_s))
-    [ 1; 2; 4 ]
+    ~seed:11 ~steps:20
+    (Mdsp_workload.Workloads.water_box ~n_side:3 ())
 
 let test_water6k_constraint_sweeps_bitwise () =
   (* The registry workload the schedule gate certifies: 2197 rigid waters
      fused into one batch, Berendsen rescale at the end of the step. Two
      steps suffice — a cross-slot disagreement in the very first SHAKE
      batch is already a bitwise diff. *)
-  let run ~slots ~serial =
-    let sys = Mdsp_workload.Workloads.water_box ~n_side:13 () in
-    let exec =
-      if slots = 1 then Exec.serial
-      else Exec.create (Exec.Domains { n = slots })
-    in
-    let cfg =
+  check_sweeps_bitwise ~slots:[ 1; 4 ] "water6k"
+    ~cfg:
       {
         E.default_config with
         dt_fs = 1.0;
         temperature = 300.;
         thermostat = E.Berendsen { tau_fs = 100. };
       }
-    in
-    let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:3 ~exec sys in
-    E.set_serial_constraints eng serial;
-    E.run eng 2;
-    let st = E.state eng in
-    let pos = Array.copy st.Mdsp_md.State.positions in
-    let vel = Array.copy st.Mdsp_md.State.velocities in
-    if slots > 1 then Exec.shutdown exec;
-    (pos, vel)
-  in
-  List.iter
-    (fun slots ->
-      let pos_p, vel_p = run ~slots ~serial:false in
-      let pos_s, vel_s = run ~slots ~serial:true in
-      check_true
-        (Printf.sprintf "water6k positions bitwise at %d slots" slots)
-        (pos_p = pos_s);
-      check_true
-        (Printf.sprintf "water6k velocities bitwise at %d slots" slots)
-        (vel_p = vel_s))
-    [ 1; 4 ]
+    ~seed:3 ~steps:2
+    (Mdsp_workload.Workloads.water_box ~n_side:13 ())
 
 let test_chain10k_thermostat_bitwise () =
-  (* chain10k carries no constraints at all, so flipping the switch
-     isolates the thermostat sweeps: the per-atom derived Langevin
-     streams must make the O-step independent of the tiling. *)
-  let run ~slots ~serial =
-    let sys = Mdsp_workload.Workloads.bead_chain ~n_beads:256 ~n_total:10_000 () in
-    let exec =
-      if slots = 1 then Exec.serial
-      else Exec.create (Exec.Domains { n = slots })
-    in
-    let cfg =
+  (* chain10k carries no constraints at all, so this isolates the
+     thermostat sweeps: the per-atom derived Langevin streams must make
+     the O-step independent of the tiling. *)
+  check_sweeps_bitwise ~slots:[ 1; 4 ] "chain10k"
+    ~cfg:
       {
         E.default_config with
         dt_fs = 2.0;
         temperature = 120.;
         thermostat = E.Langevin { gamma_fs = 0.02 };
       }
-    in
-    let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:21 ~exec sys in
-    E.set_serial_constraints eng serial;
-    E.run eng 3;
-    let st = E.state eng in
-    let vel = Array.copy st.Mdsp_md.State.velocities in
-    if slots > 1 then Exec.shutdown exec;
-    vel
-  in
-  List.iter
-    (fun slots ->
-      check_true
-        (Printf.sprintf "chain10k velocities bitwise at %d slots" slots)
-        (run ~slots ~serial:false = run ~slots ~serial:true))
-    [ 1; 4 ]
+    ~seed:21 ~steps:3
+    (Mdsp_workload.Workloads.bead_chain ~n_beads:256 ~n_total:10_000 ())
 
 let test_engine_backends_consistent () =
   (* Short run: backends may differ only by rounding, which cannot grow far
@@ -566,12 +530,16 @@ let test_gse_subphase_timings () =
     ((E.timings plain).lr_spread_s = 0.
     && (E.timings plain).lr_fft_s = 0.)
 
-(* --- the flat (SoA) hot path ---
+(* --- the one force pipeline ---
 
-   The Soa_kernels pair/bonded loops are expression-for-expression mirrors
-   of the boxed reference kernels, so the SoA path must agree with the
-   boxed path *bitwise* — energies, every force component and the virial —
-   on every seed workload, serially and on a pool. *)
+   Bonded and 1-4 terms always run the flat Soa_kernels loops; the pair
+   phase runs the flat kernel under an analytic evaluator and the generic
+   evaluator loop otherwise. The flat kernels are expression-for-expression
+   mirrors of the boxed reference kernels, so every configuration must
+   equal the direct reference sum — Bonded.all + compute_pairs14 +
+   Pair_interactions.compute (+ the long-range solver) — *bitwise*:
+   energies, every force component and the virial, serially and on a
+   pool. *)
 
 let soa_systems () =
   [
@@ -581,18 +549,77 @@ let soa_systems () =
       Mdsp_workload.Workloads.bead_chain ~n_beads:16 ~n_total:256 () );
   ]
 
-let compute_sys ?gse_grid ~exec ~soa sys =
-  let eng =
-    Mdsp_workload.Workloads.make_engine ?gse_grid ~seed:5 ~exec ~soa sys
-  in
-  check_true "soa flag surfaced" (E.soa_active eng = soa);
+(* The stock bead chain fully excludes its 1-4 pairs; AMBER-style scaling
+   makes the 1-4 kernels run. *)
+let scaled14_chain () =
+  let sys = Mdsp_workload.Workloads.bead_chain ~n_beads:16 ~n_total:256 () in
+  {
+    sys with
+    Mdsp_workload.Workloads.topo =
+      {
+        sys.Mdsp_workload.Workloads.topo with
+        Mdsp_ff.Topology.scale14_lj = 0.5;
+        scale14_coul = 1. /. 1.2;
+      };
+  }
+
+let engine_compute ?cls eng =
   let st = E.state eng in
   let acc = Mdsp_ff.Bonded.make_accum (Mdsp_md.State.n st) in
+  let fc = E.force_calc eng in
+  let box = st.Mdsp_md.State.box and pos = st.Mdsp_md.State.positions in
   let e =
-    FC.compute (E.force_calc eng) st.Mdsp_md.State.box
-      st.Mdsp_md.State.positions acc
+    match cls with
+    | None -> FC.compute fc box pos acc
+    | Some cls -> FC.compute_class fc cls box pos acc
   in
   (e, acc)
+
+(* The direct reference sum over the engine's current frame, neighbor list
+   and installed evaluator, in pipeline order. [gse] replays the grid
+   solver [make_engine ~gse_grid] installs (beta = 3 / cutoff) with the
+   same Ewald self/excluded corrections. [cls] restricts it to a RESPA
+   class like [compute_class]. *)
+let reference ?gse ?cls ~exec eng =
+  let fc = E.force_calc eng in
+  let st = E.state eng in
+  let topo = FC.topology fc and nlist = FC.nlist fc in
+  let ev = FC.evaluator fc in
+  let cutoff = ev.Mdsp_ff.Pair_interactions.cutoff in
+  let box = st.Mdsp_md.State.box and pos = st.Mdsp_md.State.positions in
+  let acc = Mdsp_ff.Bonded.make_accum (Mdsp_md.State.n st) in
+  let fast = cls <> Some `Slow and slow = cls <> Some `Fast in
+  let bond, angle, dihedral =
+    if fast then Mdsp_ff.Bonded.all ~exec box topo pos acc else (0., 0., 0.)
+  in
+  let pair14 =
+    if fast then
+      Mdsp_ff.Pair_interactions.compute_pairs14 ~exec topo ~cutoff box pos acc
+    else 0.
+  in
+  let pair =
+    if slow then
+      pair14 +. Mdsp_ff.Pair_interactions.compute ~exec ev box nlist pos acc
+    else pair14
+  in
+  let recip, correction =
+    match gse with
+    | Some grid when slow ->
+        let beta = 3.0 /. Mdsp_space.Neighbor_list.cutoff nlist in
+        let charges = Mdsp_ff.Topology.charges topo in
+        let recip =
+          Mdsp_longrange.Gse.reciprocal ~exec
+            (Mdsp_longrange.Gse.create ~beta ~grid box)
+            charges pos acc
+        in
+        let ew = Mdsp_longrange.Ewald.create ~beta ~kmax:1 box in
+        ( recip,
+          Mdsp_longrange.Ewald.self_energy ew charges
+          +. Mdsp_longrange.Ewald.excluded_correction ew box charges pos
+               topo.Mdsp_ff.Topology.exclusions acc )
+    | _ -> (0., 0.)
+  in
+  ({ FC.bond; angle; dihedral; pair; recip; correction; bias = 0. }, acc)
 
 let check_bitwise name (e_a, acc_a) (e_b, acc_b) =
   check_true (name ^ ": energies bit-identical") (e_a = e_b);
@@ -606,63 +633,64 @@ let check_bitwise name (e_a, acc_a) (e_b, acc_b) =
     acc_a.Mdsp_ff.Bonded.forces;
   check_true (name ^ ": forces bit-identical") !identical
 
+(* The default engine (analytic evaluator, flat pair kernel) against the
+   reference sum on the same executor. *)
+let check_against_reference ?gse_grid ~exec name sys =
+  let eng =
+    Mdsp_workload.Workloads.make_engine ?gse_grid ~seed:5 ~exec sys
+  in
+  check_true (name ^ ": flat pair kernel")
+    (FC.pair_kernel (E.force_calc eng) = `Flat);
+  check_bitwise name (engine_compute eng) (reference ?gse:gse_grid ~exec eng)
+
 let test_soa_matches_boxed_serial () =
   List.iter
-    (fun (name, sys) ->
-      check_bitwise name
-        (compute_sys ~exec:Exec.serial ~soa:false sys)
-        (compute_sys ~exec:Exec.serial ~soa:true sys))
-    (soa_systems ())
+    (fun (name, sys) -> check_against_reference ~exec:Exec.serial name sys)
+    (("scaled 1-4 chain", scaled14_chain ()) :: soa_systems ())
 
 let test_soa_matches_boxed_domains () =
-  (* The SoA parallel phases mirror the boxed tile decomposition and
+  (* The flat parallel phases mirror the boxed tile decomposition and
      reduction tree shape, so agreement holds bitwise on a pool too. *)
   let pool = Exec.create (Exec.Domains { n = 3 }) in
   List.iter
-    (fun (name, sys) ->
-      check_bitwise name
-        (compute_sys ~exec:pool ~soa:false sys)
-        (compute_sys ~exec:pool ~soa:true sys))
-    (soa_systems ());
+    (fun (name, sys) -> check_against_reference ~exec:pool name sys)
+    (("scaled 1-4 chain", scaled14_chain ()) :: soa_systems ());
   Exec.shutdown pool
 
 let test_soa_matches_boxed_gse () =
-  (* Ewald real-space pairs + GSE reciprocal: the SoA pair kernel covers
-     the erfc path; the grid phase stays boxed on both sides. *)
+  (* Ewald real-space pairs + GSE reciprocal: the flat pair kernel covers
+     the erfc path; the grid phase adds into the same accumulator. *)
   let sys () = Mdsp_workload.Workloads.water_box ~n_side:3 () in
-  check_bitwise "gse water (serial)"
-    (compute_sys ~gse_grid:(16, 16, 16) ~exec:Exec.serial ~soa:false (sys ()))
-    (compute_sys ~gse_grid:(16, 16, 16) ~exec:Exec.serial ~soa:true (sys ()));
+  check_against_reference ~gse_grid:(16, 16, 16) ~exec:Exec.serial
+    "gse water (serial)" (sys ());
   let pool = Exec.create (Exec.Domains { n = 4 }) in
-  check_bitwise "gse water (domains)"
-    (compute_sys ~gse_grid:(16, 16, 16) ~exec:pool ~soa:false (sys ()))
-    (compute_sys ~gse_grid:(16, 16, 16) ~exec:pool ~soa:true (sys ()));
+  check_against_reference ~gse_grid:(16, 16, 16) ~exec:pool
+    "gse water (domains)" (sys ());
   Exec.shutdown pool
 
 let test_soa_respa_classes_match () =
-  let sys = Mdsp_workload.Workloads.bead_chain ~n_beads:16 ~n_total:256 () in
-  let run soa cls =
-    let eng =
-      Mdsp_workload.Workloads.make_engine ~seed:5 ~exec:Exec.serial ~soa sys
-    in
-    let st = E.state eng in
-    let acc = Mdsp_ff.Bonded.make_accum (Mdsp_md.State.n st) in
-    let e =
-      FC.compute_class (E.force_calc eng) cls st.Mdsp_md.State.box
-        st.Mdsp_md.State.positions acc
-    in
-    (e, acc)
+  let eng =
+    Mdsp_workload.Workloads.make_engine ~seed:5 ~exec:Exec.serial
+      (scaled14_chain ())
   in
   List.iter
     (fun (name, cls) ->
-      check_bitwise name (run false cls) (run true cls))
+      check_bitwise name (engine_compute ~cls eng)
+        (reference ~cls ~exec:Exec.serial eng))
     [ ("fast class", `Fast); ("slow class", `Slow) ]
 
+(* The engine's own analytic evaluator with its recipe hidden: the same
+   [eval] closure, so it selects the generic loop over identical physics. *)
+let opaque eng =
+  let ev = FC.evaluator (E.force_calc eng) in
+  { ev with Mdsp_ff.Pair_interactions.form = None }
+
 let test_soa_trajectory_matches_boxed () =
-  (* Bitwise force identity implies bitwise trajectory identity: same
+  (* Bitwise force identity implies bitwise trajectory identity: the flat
+     pair kernel against the generic loop over the same evaluator — same
      seed, same thermostat noise stream, 25 steps with rebuilds and
      constraints. *)
-  let run soa =
+  let run ~generic =
     let sys = Mdsp_workload.Workloads.water_box ~n_side:3 () in
     let cfg =
       {
@@ -672,12 +700,18 @@ let test_soa_trajectory_matches_boxed () =
         thermostat = E.Langevin { gamma_fs = 0.02 };
       }
     in
-    let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:7 ~soa sys in
+    let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:7 sys in
+    if generic then begin
+      FC.set_evaluator (E.force_calc eng) (opaque eng);
+      E.refresh_forces eng;
+      check_true "generic pair loop"
+        (FC.pair_kernel (E.force_calc eng) = `Generic)
+    end;
     E.run eng 25;
     (Array.copy (E.state eng).Mdsp_md.State.positions, E.total_energy eng)
   in
-  let pos_b, e_b = run false in
-  let pos_s, e_s = run true in
+  let pos_b, e_b = run ~generic:true in
+  let pos_s, e_s = run ~generic:false in
   check_true "trajectory energy bit-identical" (e_b = e_s);
   let identical = ref true in
   Array.iteri (fun i p -> if p <> pos_s.(i) then identical := false) pos_b;
@@ -686,21 +720,22 @@ let test_soa_trajectory_matches_boxed () =
 let test_soa_parallel_determinism () =
   let run () =
     let pool = Exec.create (Exec.Domains { n = 4 }) in
-    let r =
-      compute_sys ~exec:pool ~soa:true
+    let eng =
+      Mdsp_workload.Workloads.make_engine ~seed:5 ~exec:pool
         (Mdsp_workload.Workloads.water_box ~n_side:3 ())
     in
+    let r = engine_compute eng in
     Exec.shutdown pool;
     r
   in
   check_bitwise "fresh pools" (run ()) (run ())
 
 let test_soa_pair_loop_zero_alloc () =
-  (* The serial SoA pair window is measured with Gc.minor_words: the flat
-     loops must not allocate at all once warm. *)
+  (* The serial flat pair window is measured with Gc.minor_words: the flat
+     loop must not allocate at all once warm. *)
   let sys = Mdsp_workload.Workloads.lj_fluid ~n:500 () in
-  let eng = Mdsp_workload.Workloads.make_engine ~seed:3 ~soa:true sys in
-  check_true "soa active" (E.soa_active eng);
+  let eng = Mdsp_workload.Workloads.make_engine ~seed:3 sys in
+  check_true "flat pair kernel" (FC.pair_kernel (E.force_calc eng) = `Flat);
   E.run eng 2;
   E.reset_timings eng;
   E.run eng 10;
@@ -712,23 +747,104 @@ let test_soa_pair_loop_zero_alloc () =
     (tm.FC.pair_words = 0.)
 
 let test_soa_phases_race_free () =
-  (* The SoA parallel phases under the write-set sanitizer at 2 and 4
+  (* The flat parallel phases under the write-set sanitizer at 2 and 4
      slots: pair tiles, 1-4 pairs, the four bonded terms, the per-atom
-     reduction, plus the cell-list bin and pair-list build phases. *)
+     reduction, plus the cell-list bin and pair-list build phases; and the
+     generic pair loop with its reduction into the force array. *)
   List.iter
     (fun slots ->
       let exec = Exec.create ~sanitize:true (Exec.Domains { n = slots }) in
       Fun.protect
         ~finally:(fun () -> Exec.shutdown exec)
         (fun () ->
+          let chain =
+            Mdsp_workload.Workloads.make_engine ~seed:5 ~exec
+              (scaled14_chain ())
+          in
+          ignore (engine_compute chain);
+          FC.set_evaluator (E.force_calc chain) (opaque chain);
+          ignore (engine_compute chain);
           ignore
-            (compute_sys ~exec ~soa:true
-               (Mdsp_workload.Workloads.bead_chain ~n_beads:16 ~n_total:256
-                  ()));
-          ignore
-            (compute_sys ~gse_grid:(16, 16, 16) ~exec ~soa:true
-               (Mdsp_workload.Workloads.water_box ~n_side:3 ()))))
+            (engine_compute
+               (Mdsp_workload.Workloads.make_engine ~seed:5 ~exec
+                  ~gse_grid:(16, 16, 16)
+                  (Mdsp_workload.Workloads.water_box ~n_side:3 ())))))
     [ 2; 4 ]
+
+(* A machine-table evaluator for [sys], compiled at [cutoff]. *)
+let table_evaluator (sys : Mdsp_workload.Workloads.system) ~cutoff =
+  let topo = sys.Mdsp_workload.Workloads.topo in
+  let tables =
+    Mdsp_core.Table.table_set_of_topology topo ~cutoff
+      ~elec:(Mdsp_ff.Pair_interactions.Reaction_field { epsilon_rf = 78.5 })
+      ~n:1024 ()
+  in
+  Mdsp_machine.Htis.evaluator tables
+    ~types:
+      (Array.map
+         (fun (a : Mdsp_ff.Topology.atom) -> a.type_id)
+         topo.Mdsp_ff.Topology.atoms)
+    ~charges:(Mdsp_ff.Topology.charges topo) ~cutoff
+
+let test_tables_match_reference () =
+  (* Flat bonded and 1-4 terms next to the generic pair loop over an HTIS
+     table evaluator: still the reference sum, bit for bit, at 1 and 2
+     slots. *)
+  let sys = scaled14_chain () in
+  List.iter
+    (fun slots ->
+      let exec =
+        if slots = 1 then Exec.serial
+        else Exec.create (Exec.Domains { n = slots })
+      in
+      let eng = Mdsp_workload.Workloads.make_engine ~seed:5 ~exec sys in
+      let fc = E.force_calc eng in
+      let cutoff = Mdsp_space.Neighbor_list.cutoff (FC.nlist fc) in
+      FC.set_evaluator fc (table_evaluator sys ~cutoff);
+      check_true "tables run the generic loop" (FC.pair_kernel fc = `Generic);
+      check_bitwise
+        (Printf.sprintf "tables at %d slots" slots)
+        (engine_compute eng) (reference ~exec eng);
+      if slots > 1 then Exec.shutdown exec)
+    [ 1; 2 ]
+
+let test_set_evaluator_reselects_kernel () =
+  (* The kernel is picked again on every set_evaluator: tables drop the
+     pair phase to the generic loop, an analytic evaluator puts it back on
+     the flat loop with parameters rebuilt from that evaluator's recipe
+     and cutoff (a shorter cutoff must not run the stale flat
+     parameters), and a Switch recipe has no flat kernel. *)
+  let sys = scaled14_chain () in
+  let eng = Mdsp_workload.Workloads.make_engine ~seed:5 sys in
+  let fc = E.force_calc eng in
+  let topo = FC.topology fc in
+  let cutoff = Mdsp_space.Neighbor_list.cutoff (FC.nlist fc) in
+  let analytic ?(trunc = Mdsp_ff.Nonbonded.Shift) cutoff =
+    Mdsp_ff.Pair_interactions.of_topology topo ~cutoff ~trunc
+      ~elec:(Mdsp_ff.Pair_interactions.Reaction_field { epsilon_rf = 78.5 })
+  in
+  let e0, _ = engine_compute eng in
+  FC.set_evaluator fc (table_evaluator sys ~cutoff);
+  check_true "tables: generic" (FC.pair_kernel fc = `Generic);
+  FC.set_evaluator fc (analytic cutoff);
+  check_true "analytic again: flat" (FC.pair_kernel fc = `Flat);
+  check_bitwise "flat loop restored" (engine_compute eng)
+    (reference ~exec:Exec.serial eng);
+  check_true "same physics as the engine's own evaluator"
+    (fst (engine_compute eng) = e0);
+  FC.set_evaluator fc (analytic (cutoff -. 2.));
+  check_true "shorter cutoff: flat" (FC.pair_kernel fc = `Flat);
+  let e_short, _ = engine_compute eng in
+  check_bitwise "shorter cutoff matches its reference"
+    (e_short, snd (engine_compute eng))
+    (reference ~exec:Exec.serial eng);
+  check_true "shorter cutoff changes the pair energy"
+    (e_short.FC.pair <> e0.FC.pair);
+  FC.set_evaluator fc
+    (analytic ~trunc:(Mdsp_ff.Nonbonded.Switch { r_on = cutoff -. 2. }) cutoff);
+  check_true "Switch: generic" (FC.pair_kernel fc = `Generic);
+  check_bitwise "Switch matches its reference" (engine_compute eng)
+    (reference ~exec:Exec.serial eng)
 
 let test_nbuild_subphase_timed () =
   let sys = Mdsp_workload.Workloads.lj_fluid ~n:256 () in
@@ -886,6 +1002,10 @@ let () =
             test_soa_pair_loop_zero_alloc;
           Alcotest.test_case "sanitized SoA phases race-free" `Quick
             test_soa_phases_race_free;
+          Alcotest.test_case "table evaluator = reference sum at 1/2" `Quick
+            test_tables_match_reference;
+          Alcotest.test_case "set_evaluator re-picks the pair kernel" `Quick
+            test_set_evaluator_reselects_kernel;
         ] );
       ( "timing",
         [
