@@ -184,6 +184,11 @@ let e21 () =
     "Execution backends: measured per-resource step times (live Fig. 4)";
   let module X = Mdsp_util.Exec in
   let module FC = Mdsp_md.Force_calc in
+  let module Clk = Mdsp_util.Timer in
+  let module NL = Mdsp_space.Neighbor_list in
+  (* Per-step seconds of a phase (or of the clock's total). *)
+  let per clock name = Clk.per_tick clock (Clk.seconds clock name) in
+  let per_total clock = Clk.per_tick clock (Clk.total clock) in
   let n = 4000 and steps = 10 and ndomains = 4 in
   let sys = Mdsp_workload.Workloads.lj_fluid ~n () in
   let cfg =
@@ -200,18 +205,22 @@ let e21 () =
     in
     Mdsp_md.Engine.run eng 2;
     (* measure from a warm neighbor list *)
-    Mdsp_md.Engine.reset_timings eng;
+    Mdsp_md.Engine.reset_clock eng;
+    let nl = FC.nlist (Mdsp_md.Engine.force_calc eng) in
+    let r0 = NL.rebuild_count nl in
     let w0 = Gc.minor_words () in
     Mdsp_md.Engine.run eng steps;
     let w1 = Gc.minor_words () in
-    (Mdsp_md.Engine.timings eng, eng, (w1 -. w0) /. float_of_int steps)
+    (eng, NL.rebuild_count nl - r0, (w1 -. w0) /. float_of_int steps)
   in
-  let tm_serial, eng_serial, words_step = measure X.serial in
+  let eng_serial, rebuilds_serial, words_step = measure X.serial in
   let fc_serial = Mdsp_md.Engine.force_calc eng_serial in
+  let cs = FC.clock fc_serial in
   let nlist = FC.nlist fc_serial in
-  let npairs = Mdsp_space.Neighbor_list.length nlist in
+  let npairs = NL.length nlist in
   let pool = X.create (X.Domains { n = ndomains }) in
-  let tm_par, _, _ = measure pool in
+  let eng_par, rebuilds_par, _ = measure pool in
+  let cp = Mdsp_md.Engine.clock eng_par in
   X.shutdown pool;
   (* The boxed reference kernels ([Bonded.all], [compute_pairs14],
      [Pair_interactions.compute] over the analytic evaluator), timed
@@ -244,7 +253,6 @@ let e21 () =
     let k = float_of_int steps in
     (!bonded /. k, !pair /. k, !words /. k)
   in
-  let ps = FC.timings_per_call tm_serial and pp = FC.timings_per_call tm_par in
   let t =
     T.create
       ~title:
@@ -259,18 +267,34 @@ let e21 () =
           ("speedup", T.Right);
         ]
   in
-  let open FC in
   let us x = sig3 (x *. 1e6) in
   let speedup a b = if b > 0. then Printf.sprintf "%.2fx" (a /. b) else "-" in
   let phase name a b = T.row t [ name; us a; us b; speedup a b ] in
-  phase "pair (pipelines)" ps.pair_s pp.pair_s;
-  phase "bonded (flex)" ps.bonded_s pp.bonded_s;
-  phase "long-range" ps.longrange_s pp.longrange_s;
-  phase "neighbor rebuild" ps.neighbor_s pp.neighbor_s;
-  phase "  nbuild (tiled)" ps.nbuild_s pp.nbuild_s;
-  phase "integrate (kick/drift)" ps.integrate_s pp.integrate_s;
-  phase "thermostat (Langevin O)" ps.thermostat_s pp.thermostat_s;
-  phase "total" (timings_total ps) (timings_total pp);
+  (* One row per phase the serial clock recorded, children indented under
+     their root; the rebuild count follows the neighbor group, so a zero
+     build time reads as "no rebuild in the window". *)
+  let depth name =
+    String.fold_left (fun d c -> if c = '.' then d + 1 else d) 0 name
+  in
+  let entries = Clk.entries cs in
+  let neighbor_last =
+    if List.mem_assoc "neighbor.build" entries then "neighbor.build"
+    else "neighbor"
+  in
+  List.iter
+    (fun (name, _) ->
+      phase (String.make (2 * depth name) ' ' ^ name) (per cs name)
+        (per cp name);
+      if name = neighbor_last then
+        T.row t
+          [
+            "  rebuilds in window (count)";
+            string_of_int rebuilds_serial;
+            string_of_int rebuilds_par;
+            "";
+          ])
+    entries;
+  phase "total" (per_total cs) (per_total cp);
   T.print t;
   (* The engine's flat (SoA) kernels against the boxed reference kernels on
      the same frame: bitwise-identical results (test_parallel proves it),
@@ -289,10 +313,10 @@ let e21 () =
         ]
   in
   let soa_phase name a b c = T.row t_soa [ name; us a; us b; speedup a b; us c ] in
-  soa_phase "pair (pipelines)" ref_pair_s ps.pair_s pp.pair_s;
-  soa_phase "bonded (flex)" ref_bonded_s ps.bonded_s pp.bonded_s;
+  soa_phase "pair (pipelines)" ref_pair_s (per cs "pair") (per cp "pair");
+  soa_phase "bonded (flex)" ref_bonded_s (per cs "bonded") (per cp "bonded");
   T.print t_soa;
-  let soa_pair_words = ps.pair_words in
+  let soa_pair_words = Clk.per_tick cs (FC.pair_minor_words fc_serial) in
   note
     "allocation: %.0f minor words/step (whole step); boxed reference pair\n\
      kernels %.0f words/evaluation vs the flat pair window %.0f words/step\n\
@@ -319,16 +343,15 @@ let e21 () =
         ~seed:42 ~exec sys
     in
     Mdsp_md.Engine.run eng 2;
-    Mdsp_md.Engine.reset_timings eng;
+    Mdsp_md.Engine.reset_clock eng;
     Mdsp_md.Engine.run eng cons_steps;
-    Mdsp_md.Engine.timings eng
+    Mdsp_md.Engine.clock eng
   in
-  let tm_cons_serial = measure_cons X.serial in
+  let cons_serial = measure_cons X.serial in
   let pool = X.create (X.Domains { n = ndomains }) in
-  let tm_cons_par = measure_cons pool in
+  let cons_par = measure_cons pool in
   X.shutdown pool;
-  let cs = FC.timings_per_call tm_cons_serial in
-  let cp = FC.timings_per_call tm_cons_par in
+  let cons_s = per cons_serial and cons_p = per cons_par in
   let t_cons =
     T.create
       ~title:
@@ -341,22 +364,30 @@ let e21 () =
           ("speedup", T.Right);
         ]
   in
-  let cons_phase name a b = T.row t_cons [ name; us a; us b; speedup a b ] in
-  cons_phase "constraints (SHAKE/RATTLE)" cs.constraints_s cp.constraints_s;
-  cons_phase "thermostat (rescale)" cs.thermostat_s cp.thermostat_s;
-  cons_phase "integrate (kick/drift)" cs.integrate_s cp.integrate_s;
+  List.iter
+    (fun (label, name) ->
+      let a = cons_s name and b = cons_p name in
+      T.row t_cons [ label; us a; us b; speedup a b ])
+    [
+      ("constraints (SHAKE/RATTLE)", "constraints");
+      ("thermostat (rescale)", "thermostat");
+      ("integrate (kick/drift)", "integrate");
+    ];
   T.print t_cons;
-  record "e21.constraints_serial_us" (cs.constraints_s *. 1e6);
+  record "e21.constraints_serial_us" (cons_s "constraints" *. 1e6);
   record
     (Printf.sprintf "e21.constraints_domains%d_us" ndomains)
-    (cp.constraints_s *. 1e6);
+    (cons_p "constraints" *. 1e6);
   record "e21.constraints_speedup"
-    (cs.constraints_s /. Float.max 1e-12 cp.constraints_s);
-  record "e21.thermostat_serial_us" (cs.thermostat_s *. 1e6);
+    (cons_s "constraints" /. Float.max 1e-12 (cons_p "constraints"));
+  record "e21.thermostat_serial_us" (cons_s "thermostat" *. 1e6);
   record
     (Printf.sprintf "e21.thermostat_domains%d_us" ndomains)
-    (cp.thermostat_s *. 1e6);
-  let pair_speedup = ps.pair_s /. Float.max 1e-12 pp.pair_s in
+    (cons_p "thermostat" *. 1e6);
+  let pair_serial = per cs "pair" and pair_par = per cp "pair" in
+  let integrate_serial = per cs "integrate" in
+  let integrate_par = per cp "integrate" in
+  let pair_speedup = pair_serial /. Float.max 1e-12 pair_par in
   let cores = X.recommended_domains () in
   if cores < ndomains then
     note
@@ -367,25 +398,26 @@ let e21 () =
       cores ndomains;
   record "e21.host_cores" (float_of_int cores);
   record "e21.npairs" (float_of_int npairs);
-  record "e21.pair_serial_us" (ps.pair_s *. 1e6);
-  record (Printf.sprintf "e21.pair_domains%d_us" ndomains) (pp.pair_s *. 1e6);
+  record "e21.pair_serial_us" (pair_serial *. 1e6);
+  record (Printf.sprintf "e21.pair_domains%d_us" ndomains) (pair_par *. 1e6);
   record "e21.pair_speedup" pair_speedup;
-  record "e21.step_serial_us" (timings_total ps *. 1e6);
+  record "e21.step_serial_us" (per_total cs *. 1e6);
   record (Printf.sprintf "e21.step_domains%d_us" ndomains)
-    (timings_total pp *. 1e6);
-  record "e21.nbuild_serial_us" (ps.nbuild_s *. 1e6);
-  record "e21.integrate_serial_us" (ps.integrate_s *. 1e6);
+    (per_total cp *. 1e6);
+  record "e21.nbuild_serial_us" (per cs "neighbor.build" *. 1e6);
+  record "e21.rebuilds_serial" (float_of_int rebuilds_serial);
+  record "e21.integrate_serial_us" (integrate_serial *. 1e6);
   record
     (Printf.sprintf "e21.integrate_domains%d_us" ndomains)
-    (pp.integrate_s *. 1e6);
+    (integrate_par *. 1e6);
   record "e21.integrate_speedup"
-    (ps.integrate_s /. Float.max 1e-12 pp.integrate_s);
-  record "e21.pair_soa_serial_us" (ps.pair_s *. 1e6);
+    (integrate_serial /. Float.max 1e-12 integrate_par);
+  record "e21.pair_soa_serial_us" (pair_serial *. 1e6);
   record
     (Printf.sprintf "e21.pair_soa_domains%d_us" ndomains)
-    (pp.pair_s *. 1e6);
+    (pair_par *. 1e6);
   record "e21.pair_ref_serial_us" (ref_pair_s *. 1e6);
-  record "e21.soa_pair_speedup" (ref_pair_s /. Float.max 1e-12 ps.pair_s);
+  record "e21.soa_pair_speedup" (ref_pair_s /. Float.max 1e-12 pair_serial);
   record "e21.soa_pair_minor_words_per_step" soa_pair_words;
   record "e21.ref_pair_minor_words_per_eval" ref_words;
   record "e21.step_minor_words_soa" words_step;
@@ -408,16 +440,14 @@ let e21 () =
         ~seed:42 ~exec ~gse_grid sys
     in
     Mdsp_md.Engine.run eng 2;
-    Mdsp_md.Engine.reset_timings eng;
+    Mdsp_md.Engine.reset_clock eng;
     Mdsp_md.Engine.run eng gse_steps;
-    (Mdsp_md.Engine.timings eng, sys)
+    (Mdsp_md.Engine.clock eng, sys)
   in
-  let tm_gse_serial, gse_sys = measure_gse X.serial in
+  let gse_serial, gse_sys = measure_gse X.serial in
   let pool = X.create (X.Domains { n = ndomains }) in
-  let tm_gse_par, _ = measure_gse pool in
+  let gse_par, _ = measure_gse pool in
   X.shutdown pool;
-  let gs = FC.timings_per_call tm_gse_serial in
-  let gp = FC.timings_per_call tm_gse_par in
   let gx, gy, gz = gse_grid in
   let t_gse =
     T.create
@@ -433,21 +463,16 @@ let e21 () =
           ("speedup", T.Right);
         ]
   in
-  let gse_phase ?key name a b =
-    T.row t_gse [ name; us a; us b; speedup a b ];
-    match key with
-    | None -> ()
-    | Some key ->
-        record (Printf.sprintf "e21.lr_%s_serial_us" key) (a *. 1e6);
-        record
-          (Printf.sprintf "e21.lr_%s_domains%d_us" key ndomains)
-          (b *. 1e6)
+  let gse_phase ~key label name =
+    let a = per gse_serial name and b = per gse_par name in
+    T.row t_gse [ label; us a; us b; speedup a b ];
+    record (Printf.sprintf "e21.lr_%s_serial_us" key) (a *. 1e6);
+    record (Printf.sprintf "e21.lr_%s_domains%d_us" key ndomains) (b *. 1e6)
   in
-  gse_phase ~key:"spread" "spread" gs.lr_spread_s gp.lr_spread_s;
-  gse_phase ~key:"fft" "fft" gs.lr_fft_s gp.lr_fft_s;
-  gse_phase ~key:"convolve" "convolve" gs.lr_convolve_s gp.lr_convolve_s;
-  gse_phase ~key:"gather" "gather" gs.lr_gather_s gp.lr_gather_s;
-  gse_phase ~key:"total" "long-range total" gs.longrange_s gp.longrange_s;
+  List.iter
+    (fun key -> gse_phase ~key key ("lr." ^ key))
+    [ "spread"; "fft"; "convolve"; "gather" ];
+  gse_phase ~key:"total" "long-range total" "lr";
   T.print t_gse;
   (* The analytic machine model for the grid workload, next to what we
      actually measured on the host backend — sub-phase rows included on
@@ -467,12 +492,14 @@ let e21 () =
       T.row t2
         [
           r.Perf.resource;
-          T.cell_f ~prec:3 (r.Perf.model_s *. 1e6);
+          (match r.Perf.model_s with
+          | Some m -> T.cell_f ~prec:3 (m *. 1e6)
+          | None -> "-");
           (match r.Perf.measured_s with
           | Some m -> us m
           | None -> "-");
         ])
-    (Perf.resource_rows b tm_gse_par);
+    (Perf.resource_rows b gse_par);
   T.print t2;
   note "%s"
     (Printf.sprintf

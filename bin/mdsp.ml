@@ -120,38 +120,42 @@ let or_die f =
       Printf.eprintf "mdsp: %s\n" msg;
       exit 1
 
+(* Printed label of a phase-clock name; a dotted child shows its last
+   component, indented under its root. *)
+let phase_label name =
+  match name with
+  | "pair" -> "pair (pipelines)"
+  | "bonded" -> "bonded (flex)"
+  | "bias" -> "bias (flex)"
+  | "lr" -> "long-range"
+  | "neighbor" -> "neighbor rebuild"
+  | "neighbor.build" -> "nbuild"
+  | _ -> (
+      match String.rindex_opt name '.' with
+      | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+      | None -> name)
+
 let print_timings eng =
-  let tm = E.timings eng in
-  let per = Mdsp_md.Force_calc.timings_per_call tm in
-  let open Mdsp_md.Force_calc in
+  let module T = Mdsp_util.Timer in
+  let clock = E.clock eng in
+  let line label s =
+    Printf.printf "%-22s%10.3f us\n" label (T.per_tick clock s *. 1e6)
+  in
   Printf.printf "per-step force-pipeline breakdown (%d evaluations):\n"
-    tm.calls;
-  Printf.printf "  pair (pipelines)    %10.3f us\n" (per.pair_s *. 1e6);
-  Printf.printf "  bonded (flex)       %10.3f us\n" (per.bonded_s *. 1e6);
-  Printf.printf "  bias (flex)         %10.3f us\n" (per.bias_s *. 1e6);
-  Printf.printf "  long-range          %10.3f us\n" (per.longrange_s *. 1e6);
-  if per.lr_spread_s > 0. || per.lr_fft_s > 0. then begin
-    Printf.printf "    spread            %10.3f us\n" (per.lr_spread_s *. 1e6);
-    Printf.printf "    fft               %10.3f us\n" (per.lr_fft_s *. 1e6);
-    Printf.printf "    convolve          %10.3f us\n"
-      (per.lr_convolve_s *. 1e6);
-    Printf.printf "    gather            %10.3f us\n" (per.lr_gather_s *. 1e6)
-  end;
-  Printf.printf "  neighbor rebuild    %10.3f us\n" (per.neighbor_s *. 1e6);
-  if per.nbuild_s > 0. then
-    Printf.printf "    nbuild            %10.3f us\n" (per.nbuild_s *. 1e6);
-  Printf.printf "  integrate           %10.3f us\n" (per.integrate_s *. 1e6);
-  if per.constraints_s > 0. then
-    Printf.printf "  constraints         %10.3f us\n"
-      (per.constraints_s *. 1e6);
-  if per.thermostat_s > 0. then
-    Printf.printf "  thermostat          %10.3f us\n"
-      (per.thermostat_s *. 1e6);
-  Printf.printf "  total               %10.3f us\n"
-    (timings_total per *. 1e6);
+    (T.ticks clock);
+  List.iter
+    (fun (name, s) ->
+      let depth =
+        String.fold_left (fun d c -> if c = '.' then d + 1 else d) 0 name
+      in
+      line (String.make (2 + (2 * depth)) ' ' ^ phase_label name) s)
+    (T.entries clock);
+  line "  total" (T.total clock);
   (* The Gc meter only wraps the serial flat pair window. *)
-  if Mdsp_md.Force_calc.pair_kernel (E.force_calc eng) = `Flat then
-    Printf.printf "  pair alloc          %10.1f words/step\n" per.pair_words
+  let fc = E.force_calc eng in
+  if Mdsp_md.Force_calc.pair_kernel fc = `Flat then
+    Printf.printf "  pair alloc          %10.1f words/step\n"
+      (T.per_tick clock (Mdsp_md.Force_calc.pair_minor_words fc))
 
 let run_cmd =
   let doc = "Run molecular dynamics on a workload and report observables." in
@@ -666,19 +670,20 @@ let project_cmd =
     if timings then begin
       let eng = WL.make_engine ?gse_grid:grid ~exec sys in
       E.run eng steps;
-      let tm = E.timings eng in
+      let clock = E.clock eng in
       Printf.printf
         "model vs measured (per step, %d evaluations, torus phases have no \
          host analogue):\n"
-        tm.Mdsp_md.Force_calc.calls;
+        (Mdsp_util.Timer.ticks clock);
+      let cell = function
+        | Some v -> Printf.sprintf "%10.3f us" (v *. 1e6)
+        | None -> "        --"
+      in
       List.iter
         (fun (r : M.Perf.resource_row) ->
-          Printf.printf "  %-18s %10.3f us  %s\n" r.M.Perf.resource
-            (r.M.Perf.model_s *. 1e6)
-            (match r.M.Perf.measured_s with
-            | Some v -> Printf.sprintf "%10.3f us" (v *. 1e6)
-            | None -> "        --"))
-        (M.Perf.resource_rows ~comm b tm)
+          Printf.printf "  %-18s %-13s  %s\n" r.M.Perf.resource
+            (cell r.M.Perf.model_s) (cell r.M.Perf.measured_s))
+        (M.Perf.resource_rows ~comm b clock)
     end
   in
   Cmd.v (Cmd.info "project" ~doc)

@@ -8,6 +8,7 @@
 module Vec3 = Mdsp_util.Vec3
 module Pbc = Mdsp_util.Pbc
 module Exec = Mdsp_util.Exec
+module Timer = Mdsp_util.Timer
 module Rng = Mdsp_util.Rng
 module Units = Mdsp_util.Units
 module Fixed = Mdsp_util.Fixed

@@ -225,75 +225,71 @@ let ns_per_day_decomposed cfg w ~comm =
 
 (* --- model vs measurement ---
 
-   The live force pipeline records wall time per phase
-   (Mdsp_md.Force_calc.timings); each phase maps onto the machine resource
-   that would execute it: neighbor-list pairs + 1-4 terms -> pair
-   pipelines, bonded terms + biases -> programmable cores, the k-space /
-   grid phase -> long-range, neighbor rebuilds -> the import/communication
-   machinery. *)
+   The live force pipeline charges wall time per named phase
+   (Mdsp_md.Force_calc.clock); each phase maps onto the machine resource
+   that would execute it. *)
 
 type resource_row = {
   resource : string;
-  model_s : float;  (** analytic per-step seconds from {!step_time} *)
-  measured_s : float option;  (** measured per-step seconds, when mapped *)
+  model_s : float option;
+  measured_s : float option;
 }
 
-let resource_rows ?comm b (tm : Mdsp_md.Force_calc.timings) =
-  let per = Mdsp_md.Force_calc.timings_per_call tm in
-  let m v = if tm.Mdsp_md.Force_calc.calls = 0 then None else Some v in
+(* Which measurement a row reads: the per-tick sum of some phases, the
+   clock's total, or nothing (no host analogue). *)
+type measure = Phases of string list | Total | Unmeasured
+
+(* Resource, model term (None: the model has no such term), measurement.
+   Indented rows are breakdowns of the row above them. *)
+let mapping =
+  [
+    ("pair pipelines", Some (fun b -> b.htis_s), Phases [ "pair" ]);
+    ("flex cores", Some (fun b -> b.flex_s), Phases [ "bonded"; "bias" ]);
+    ("long-range", Some (fun b -> b.fft_s), Phases [ "lr" ]);
+    ("  spread", Some (fun b -> b.lr_spread_s), Phases [ "lr.spread" ]);
+    ("  fft", Some (fun b -> b.lr_fft_s), Phases [ "lr.fft" ]);
+    ("  convolve", Some (fun b -> b.lr_convolve_s), Phases [ "lr.convolve" ]);
+    ("  gather", Some (fun b -> b.lr_gather_s), Phases [ "lr.gather" ]);
+    ("network", Some (fun b -> b.comm_s), Phases [ "neighbor" ]);
+    (* The tiled cell-list + pair-list build slice of the network row
+       (import/export walks dominate the remainder). *)
+    ("  nbuild", None, Phases [ "neighbor.build" ]);
+  ]
+
+let resource_rows ?comm b clock =
+  let module T = Mdsp_util.Timer in
+  let measured = function
+    | _ when T.ticks clock = 0 -> None
+    | Unmeasured -> None
+    | Total -> Some (T.per_tick clock (T.total clock))
+    | Phases names ->
+        Some
+          (T.per_tick clock
+             (List.fold_left (fun a n -> a +. T.seconds clock n) 0. names))
+  in
+  let row (resource, model, m) =
+    {
+      resource;
+      model_s = Option.map (fun f -> f b) model;
+      measured_s = measured m;
+    }
+  in
   (* Torus-phase sub-rows of the network row, present when a priced
-     Comm_model.step is supplied. Wire times have no host analogue, so
-     [measured_s] stays [None]. *)
+     Comm_model.step is supplied. Wire times have no host analogue. *)
   let comm_rows =
     match comm with
     | None -> []
     | Some (c : Comm_model.step) ->
         List.map
           (fun (p : Comm_model.phase) ->
-            {
-              resource = "  " ^ p.Comm_model.label;
-              model_s = p.Comm_model.time_s;
-              measured_s = None;
-            })
+            ( "  " ^ p.Comm_model.label,
+              Some (fun _ -> p.Comm_model.time_s),
+              Unmeasured ))
           (Comm_model.phases c)
   in
-  [
-    { resource = "pair pipelines"; model_s = b.htis_s; measured_s = m per.pair_s };
-    {
-      resource = "flex cores";
-      model_s = b.flex_s;
-      measured_s = m (per.bonded_s +. per.bias_s);
-    };
-    { resource = "long-range"; model_s = b.fft_s; measured_s = m per.longrange_s };
-    (* GSE grid-pipeline sub-phases: a breakdown of the long-range row
-       (model and measurement both), indented in table output. *)
-    {
-      resource = "  spread";
-      model_s = b.lr_spread_s;
-      measured_s = m per.lr_spread_s;
-    };
-    { resource = "  fft"; model_s = b.lr_fft_s; measured_s = m per.lr_fft_s };
-    {
-      resource = "  convolve";
-      model_s = b.lr_convolve_s;
-      measured_s = m per.lr_convolve_s;
-    };
-    {
-      resource = "  gather";
-      model_s = b.lr_gather_s;
-      measured_s = m per.lr_gather_s;
-    };
-    { resource = "network"; model_s = b.comm_s; measured_s = m per.neighbor_s };
-    (* Neighbor-list sub-phase: the tiled cell-list + pair-list build slice
-       of the network row (import/export walks dominate the remainder). *)
-    { resource = "  nbuild"; model_s = b.comm_s; measured_s = m per.nbuild_s };
-  ]
-  @ comm_rows
-  @ [
-      { resource = "sync"; model_s = b.sync_s; measured_s = None };
-      {
-        resource = "step";
-        model_s = b.step_s;
-        measured_s = m (Mdsp_md.Force_calc.timings_total per);
-      };
-    ]
+  List.map row
+    (mapping @ comm_rows
+    @ [
+        ("sync", Some (fun b -> b.sync_s), Unmeasured);
+        ("step", Some (fun b -> b.step_s), Total);
+      ])

@@ -69,22 +69,23 @@ val pair_count : workload -> float
 
 (** One line of the model-vs-measurement comparison: the analytic per-step
     time {!step_time} assigns to a machine resource next to the measured
-    per-step wall time of the execution-backend phase that plays the same
-    role on the host ({!Mdsp_md.Force_calc.timings}). *)
+    per-step wall time of the host phases that play the same role
+    ({!Mdsp_md.Force_calc.clock}). *)
 type resource_row = {
   resource : string;
-  model_s : float;  (** analytic per-step seconds from {!step_time} *)
+  model_s : float option;
+      (** analytic per-step seconds from {!step_time}; [None] where the
+          model has no such term *)
   measured_s : float option;  (** measured per-step seconds, when mapped *)
 }
 
-(** [resource_rows breakdown timings] pairs each modeled resource with the
-    measured phase: pair pipelines <- pair + 1-4 phase, flex cores <-
-    bonded + bias, long-range <- k-space/grid, network <- neighbor
-    rebuilds. The long-range row is followed by four indented sub-rows
-    (spread / fft / convolve / gather) breaking down both the modeled and
-    the measured grid pipeline ({!Mdsp_md.Force_calc.timings} [lr_*]
-    fields). [sync] has no host analogue; [measured_s] is [None] there and
-    everywhere when [timings.calls = 0].
+(** [resource_rows breakdown clock] pairs each modeled resource with the
+    measured phases, per tick of [clock]: pair pipelines <- [pair], flex
+    cores <- [bonded] + [bias], long-range <- [lr] (sub-rows spread / fft /
+    convolve / gather <- [lr.*]), network <- [neighbor] (sub-row nbuild <-
+    [neighbor.build], which has no model term), step <- the clock's total.
+    [sync] has no host analogue; [measured_s] is [None] there and
+    everywhere before the clock's first tick.
 
     [?comm] appends the priced torus phases (import / force return /
     grid transpose, from {!Comm_model.phases}) as indented sub-rows of
@@ -92,4 +93,4 @@ type resource_row = {
     [measured_s] is [None]. *)
 val resource_rows :
   ?comm:Comm_model.step ->
-  breakdown -> Mdsp_md.Force_calc.timings -> resource_row list
+  breakdown -> Mdsp_util.Timer.table -> resource_row list

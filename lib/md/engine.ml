@@ -101,8 +101,8 @@ let create ?(seed = 7) topo fc st cfg =
 
 let state t = t.st
 let force_calc t = t.fc
-let timings t = Force_calc.timings t.fc
-let reset_timings t = Force_calc.reset_timings t.fc
+let clock t = Force_calc.clock t.fc
+let reset_clock t = Force_calc.reset_clock t.fc
 let config t = t.cfg
 let rng t = t.rng
 let steps_done t = t.nsteps
@@ -240,7 +240,7 @@ let berendsen_scale t dt tau =
    that key, so the sweep is a per-atom-independent map — order- and
    tiling-invariant, hence bitwise identical serial vs. any slot count. *)
 let langevin_o t gamma dt =
-  let t0 = Timer.now () in
+  Timer.span (Force_calc.clock t.fc) "thermostat" @@ fun () ->
   let c1 = exp (-.gamma *. dt) in
   let kt = Units.kt t.cfg.temperature in
   let v = t.st.State.velocities and m = t.st.State.masses in
@@ -266,16 +266,15 @@ let langevin_o t gamma dt =
         Exec.declare_write ~slot:s ~resource:"state.velocities" ~total:n ~lo
           ~hi exec;
         body lo hi)
-  end;
-  Force_calc.add_thermostat_s t.fc (Timer.since t0)
+  end
 
 (* Velocity rescale (NH chain, Berendsen) as a tiled parallel sweep; the
    scalar factor comes from a serial reduction beforehand, so the sweep
    itself is a pure per-atom map. A factor of exactly 1 is the thermostat
    saying "no-op"; skipping it is bitwise-neutral (v *. 1.0 = v). *)
 let thermo_scale t s =
-  if s <> 1. then begin
-    let t0 = Timer.now () in
+  if s <> 1. then
+    Timer.span (Force_calc.clock t.fc) "thermostat" @@ fun () ->
     let v = t.st.State.velocities in
     let n = State.n t.st in
     let exec = Force_calc.exec t.fc in
@@ -291,9 +290,7 @@ let thermo_scale t s =
           for i = lo to hi - 1 do
             v.(i) <- Vec3.scale s v.(i)
           done)
-    end;
-    Force_calc.add_thermostat_s t.fc (Timer.since t0)
-  end
+    end
 
 (* --- integrator pieces --- *)
 
@@ -305,7 +302,7 @@ let thermo_scale t s =
    Masses and the virtual-site table are immutable parameters and need no
    read declaration. *)
 let kick ?(phase = "integrate.kick1") t (acc : Mdsp_ff.Bonded.accum) dt =
-  let t0 = Timer.now () in
+  Timer.span (Force_calc.clock t.fc) "integrate" @@ fun () ->
   let v = t.st.State.velocities and m = t.st.State.masses in
   let n = State.n t.st in
   let exec = Force_calc.exec t.fc in
@@ -327,78 +324,77 @@ let kick ?(phase = "integrate.kick1") t (acc : Mdsp_ff.Bonded.accum) dt =
           if not (Virtual_sites.is_site t.vsites i) then
             v.(i) <- Vec3.axpy (dt /. m.(i)) forces.(i) v.(i)
         done)
-  end;
-  Force_calc.add_integrate_s t.fc (Timer.since t0)
+  end
 
 (* Drift positions by dt, apply SHAKE, and fold the constraint displacement
    back into velocities. Only the position sweep (with its prev-position
    save) is a parallel phase; SHAKE, the velocity fold and virtual-site
    placement stay on the calling domain after the barrier. *)
 let drift t dt =
-  let t0 = Timer.now () in
+  let clk = Force_calc.clock t.fc in
   let x = t.st.State.positions and v = t.st.State.velocities in
   let n = State.n t.st in
   let exec = Force_calc.exec t.fc in
-  if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then begin
-    Array.blit x 0 t.prev_positions 0 n;
-    for i = 0 to n - 1 do
-      if not (Virtual_sites.is_site t.vsites i) then
-        x.(i) <- Vec3.axpy dt v.(i) x.(i)
-    done
-  end
-  else begin
-    let prev = t.prev_positions in
-    let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-    Exec.parallel_run ~phase:"integrate.drift" exec (fun s ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi exec;
-        Exec.declare_read ~slot:s ~resource:"state.velocities" ~lo ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"state.positions" ~total:n ~lo
-          ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"integrate.prev" ~total:n ~lo
-          ~hi exec;
-        Array.blit x lo prev lo (hi - lo);
-        for i = lo to hi - 1 do
+  Timer.span clk "integrate" (fun () ->
+      if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then begin
+        Array.blit x 0 t.prev_positions 0 n;
+        for i = 0 to n - 1 do
           if not (Virtual_sites.is_site t.vsites i) then
             x.(i) <- Vec3.axpy dt v.(i) x.(i)
-        done)
-  end;
-  Force_calc.add_integrate_s t.fc (Timer.since t0);
-  if Constraints.count t.cons > 0 then begin
-    let t1 = Timer.now () in
-    Constraints.shake ~exec t.cons t.st.State.box
-      ~prev:t.prev_positions x ~masses:t.st.State.masses;
-    (* Fold the constraint displacement back into velocities: a per-atom
-       map over positions and saved pre-step positions. *)
-    let fold lo hi =
-      for i = lo to hi - 1 do
-        if not (Virtual_sites.is_site t.vsites i) then
-          v.(i) <- Vec3.scale (1. /. dt) (Vec3.sub x.(i) t.prev_positions.(i))
-      done
-    in
-    if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then fold 0 n
-    else begin
-      let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-      Exec.parallel_run ~phase:"constraints.fold" exec (fun s ->
-          let lo, hi = tiles.(s) in
-          Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi exec;
-          Exec.declare_read ~slot:s ~resource:"integrate.prev" ~lo ~hi exec;
-          Exec.declare_write ~slot:s ~resource:"state.velocities" ~total:n
-            ~lo ~hi exec;
-          fold lo hi)
-    end;
-    Force_calc.add_constraints_s t.fc (Timer.since t1)
-  end;
+        done
+      end
+      else begin
+        let prev = t.prev_positions in
+        let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
+        Exec.parallel_run ~phase:"integrate.drift" exec (fun s ->
+            let lo, hi = tiles.(s) in
+            Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi exec;
+            Exec.declare_read ~slot:s ~resource:"state.velocities" ~lo ~hi exec;
+            Exec.declare_write ~slot:s ~resource:"state.positions" ~total:n ~lo
+              ~hi exec;
+            Exec.declare_write ~slot:s ~resource:"integrate.prev" ~total:n ~lo
+              ~hi exec;
+            Array.blit x lo prev lo (hi - lo);
+            for i = lo to hi - 1 do
+              if not (Virtual_sites.is_site t.vsites i) then
+                x.(i) <- Vec3.axpy dt v.(i) x.(i)
+            done)
+      end);
+  if Constraints.count t.cons > 0 then
+    Timer.span clk "constraints" (fun () ->
+        Constraints.shake ~exec t.cons t.st.State.box
+          ~prev:t.prev_positions x ~masses:t.st.State.masses;
+        (* Fold the constraint displacement back into velocities: a per-atom
+           map over positions and saved pre-step positions. *)
+        let fold lo hi =
+          for i = lo to hi - 1 do
+            if not (Virtual_sites.is_site t.vsites i) then
+              v.(i) <-
+                Vec3.scale (1. /. dt) (Vec3.sub x.(i) t.prev_positions.(i))
+          done
+        in
+        if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then fold 0 n
+        else begin
+          let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
+          Exec.parallel_run ~phase:"constraints.fold" exec (fun s ->
+              let lo, hi = tiles.(s) in
+              Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi
+                exec;
+              Exec.declare_read ~slot:s ~resource:"integrate.prev" ~lo ~hi
+                exec;
+              Exec.declare_write ~slot:s ~resource:"state.velocities" ~total:n
+                ~lo ~hi exec;
+              fold lo hi)
+        end);
   if Virtual_sites.count t.vsites > 0 then
     Virtual_sites.place t.vsites t.st.State.box x
 
 let rattle t =
-  if Constraints.count t.cons > 0 then begin
-    let t0 = Timer.now () in
-    Constraints.rattle ~exec:(Force_calc.exec t.fc) t.cons t.st.State.box
-      t.st.State.positions t.st.State.velocities ~masses:t.st.State.masses;
-    Force_calc.add_constraints_s t.fc (Timer.since t0)
-  end
+  if Constraints.count t.cons > 0 then
+    Timer.span (Force_calc.clock t.fc) "constraints" (fun () ->
+        Constraints.rattle ~exec:(Force_calc.exec t.fc) t.cons t.st.State.box
+          t.st.State.positions t.st.State.velocities
+          ~masses:t.st.State.masses)
 
 (* --- barostats --- *)
 

@@ -58,14 +58,13 @@ val steps_done : t -> int
 (** Energies from the most recent force evaluation. *)
 val energies : t -> Force_calc.energies
 
-(** Cumulative per-resource wall-time breakdown aggregated over every force
-    evaluation the engine has driven (see {!Force_calc.timings}), including
-    the GSE long-range sub-phases (spread / fft / convolve / gather) when a
-    grid solver is installed; divide by {!steps_done} or use
-    {!Force_calc.timings_per_call} for per-step figures. *)
-val timings : t -> Force_calc.timings
+(** The force calculator's phase clock ({!Force_calc.clock}): every force
+    evaluation the engine has driven plus its integrate, constraints and
+    thermostat sweeps; one tick per force evaluation. *)
+val clock : t -> Timer.table
 
-val reset_timings : t -> unit
+(** {!Force_calc.reset_clock} of the engine's calculator. *)
+val reset_clock : t -> unit
 
 val potential_energy : t -> float
 val kinetic_energy : t -> float

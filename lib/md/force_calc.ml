@@ -30,70 +30,6 @@ let zero_energies =
     bias = 0.;
   }
 
-type timings = {
-  mutable pair_s : float;
-  mutable bonded_s : float;
-  mutable longrange_s : float;
-  mutable lr_spread_s : float;
-  mutable lr_fft_s : float;
-  mutable lr_convolve_s : float;
-  mutable lr_gather_s : float;
-  mutable bias_s : float;
-  mutable neighbor_s : float;
-  mutable nbuild_s : float;
-  mutable integrate_s : float;
-  mutable constraints_s : float;
-  mutable thermostat_s : float;
-  mutable pair_words : float;
-  mutable calls : int;
-}
-
-let zero_timings () =
-  {
-    pair_s = 0.;
-    bonded_s = 0.;
-    longrange_s = 0.;
-    lr_spread_s = 0.;
-    lr_fft_s = 0.;
-    lr_convolve_s = 0.;
-    lr_gather_s = 0.;
-    bias_s = 0.;
-    neighbor_s = 0.;
-    nbuild_s = 0.;
-    integrate_s = 0.;
-    constraints_s = 0.;
-    thermostat_s = 0.;
-    pair_words = 0.;
-    calls = 0;
-  }
-
-let timings_total tm =
-  tm.pair_s +. tm.bonded_s +. tm.longrange_s +. tm.bias_s +. tm.neighbor_s
-  +. tm.integrate_s +. tm.constraints_s +. tm.thermostat_s
-
-let timings_per_call tm =
-  if tm.calls = 0 then zero_timings ()
-  else begin
-    let c = float_of_int tm.calls in
-    {
-      pair_s = tm.pair_s /. c;
-      bonded_s = tm.bonded_s /. c;
-      longrange_s = tm.longrange_s /. c;
-      lr_spread_s = tm.lr_spread_s /. c;
-      lr_fft_s = tm.lr_fft_s /. c;
-      lr_convolve_s = tm.lr_convolve_s /. c;
-      lr_gather_s = tm.lr_gather_s /. c;
-      bias_s = tm.bias_s /. c;
-      neighbor_s = tm.neighbor_s /. c;
-      nbuild_s = tm.nbuild_s /. c;
-      integrate_s = tm.integrate_s /. c;
-      constraints_s = tm.constraints_s /. c;
-      thermostat_s = tm.thermostat_s /. c;
-      pair_words = tm.pair_words /. c;
-      calls = tm.calls;
-    }
-  end
-
 type bias = {
   bias_name : string;
   bias_compute : Pbc.t -> Vec3.t array -> Mdsp_ff.Bonded.accum -> float;
@@ -198,7 +134,9 @@ type t = {
      never goes stale even under a barostat. *)
   mutable gse_ewald : Mdsp_longrange.Ewald.t option;
   flat : flat;
-  tm : timings;
+  clock : Timer.table;
+  (* Minor words allocated inside the serial flat pair window. *)
+  mutable pair_words : float;
 }
 
 let create ?(exec = Exec.serial) topo ~evaluator ~longrange ~nlist =
@@ -221,7 +159,8 @@ let create ?(exec = Exec.serial) topo ~evaluator ~longrange ~nlist =
          else [||]);
     gse_ewald = None;
     flat = make_flat ~exec natoms;
-    tm = zero_timings ();
+    clock = Timer.table ();
+    pair_words = 0.;
   }
 
 let topology t = t.topo
@@ -250,30 +189,12 @@ let remove_bias t name =
 let biases t = List.rev_map (fun b -> b.bias_name) t.biases_rev
 let set_transform t tr = t.transform <- tr
 
-let timings t = { t.tm with calls = t.tm.calls }
+let clock t = t.clock
+let pair_minor_words t = t.pair_words
 
-let reset_timings t =
-  t.tm.pair_s <- 0.;
-  t.tm.bonded_s <- 0.;
-  t.tm.longrange_s <- 0.;
-  t.tm.lr_spread_s <- 0.;
-  t.tm.lr_fft_s <- 0.;
-  t.tm.lr_convolve_s <- 0.;
-  t.tm.lr_gather_s <- 0.;
-  t.tm.bias_s <- 0.;
-  t.tm.neighbor_s <- 0.;
-  t.tm.nbuild_s <- 0.;
-  t.tm.integrate_s <- 0.;
-  t.tm.constraints_s <- 0.;
-  t.tm.thermostat_s <- 0.;
-  t.tm.pair_words <- 0.;
-  t.tm.calls <- 0
-
-(* The integrator sweeps live in Engine, outside any [compute] call, so the
-   engine charges their wall time here explicitly. *)
-let add_integrate_s t d = t.tm.integrate_s <- t.tm.integrate_s +. d
-let add_constraints_s t d = t.tm.constraints_s <- t.tm.constraints_s +. d
-let add_thermostat_s t d = t.tm.thermostat_s <- t.tm.thermostat_s +. d
+let reset_clock t =
+  Timer.reset t.clock;
+  t.pair_words <- 0.
 
 let compute_biases t box positions acc =
   List.fold_left
@@ -310,11 +231,10 @@ let compute_longrange t box positions acc =
         Mdsp_longrange.Gse.reciprocal ~exec:t.exec ~phases:ph gse t.charges
           positions acc
       in
-      let tm = t.tm in
-      tm.lr_spread_s <- tm.lr_spread_s +. ph.Mdsp_longrange.Gse.spread_s;
-      tm.lr_fft_s <- tm.lr_fft_s +. ph.Mdsp_longrange.Gse.fft_s;
-      tm.lr_convolve_s <- tm.lr_convolve_s +. ph.Mdsp_longrange.Gse.convolve_s;
-      tm.lr_gather_s <- tm.lr_gather_s +. ph.Mdsp_longrange.Gse.gather_s;
+      Timer.charge t.clock "lr.spread" ph.Mdsp_longrange.Gse.spread_s;
+      Timer.charge t.clock "lr.fft" ph.Mdsp_longrange.Gse.fft_s;
+      Timer.charge t.clock "lr.convolve" ph.Mdsp_longrange.Gse.convolve_s;
+      Timer.charge t.clock "lr.gather" ph.Mdsp_longrange.Gse.gather_s;
       let ew = gse_correction_handle t gse box in
       let corr =
         Mdsp_longrange.Ewald.self_energy ew t.charges
@@ -323,26 +243,14 @@ let compute_longrange t box positions acc =
       in
       (recip, corr)
 
-(* Timed phase helper: runs [f ()], charges the elapsed wall time to the
-   field selected by [add]. *)
-let timed add f =
-  let t0 = Timer.now () in
-  let r = f () in
-  add (Timer.since t0);
-  r
-
-(* Neighbor refresh, charged to [neighbor_s]; the slice actually spent
-   inside the tiled list build (the [nbuild] sub-phase) is the delta of the
-   list's own cumulative build clock. *)
-let rebuild_timed t box positions =
-  let tm = t.tm in
-  let nb0 = Mdsp_space.Neighbor_list.build_seconds t.nlist in
-  ignore
-    (timed (fun d -> tm.neighbor_s <- tm.neighbor_s +. d) (fun () ->
-         Mdsp_space.Neighbor_list.maybe_rebuild ~box t.nlist positions));
-  tm.nbuild_s <-
-    tm.nbuild_s +. (Mdsp_space.Neighbor_list.build_seconds t.nlist -. nb0)
-
+(* Neighbor refresh: the staleness check and any rebuild are charged to
+   [neighbor], the rebuild alone also to [neighbor.build]. *)
+let refresh_neighbors t box positions =
+  let module NL = Mdsp_space.Neighbor_list in
+  Timer.span t.clock "neighbor" (fun () ->
+      if NL.needs_rebuild ~box t.nlist positions then
+        Timer.span t.clock "neighbor.build" (fun () ->
+            ignore (NL.rebuild ~box t.nlist positions)))
 
 (* --- the force phases ----------------------------------------------- *)
 
@@ -486,7 +394,7 @@ let flat_pairs14 t box =
    [Pair_interactions.compute]. The serial loop sits alone inside a
    minor-heap probe: the window holds only a unit-returning kernel call and
    float-record field traffic, so an LJ pair loop measures exactly zero
-   words. The raw-array fetch and the timing field update stay outside. *)
+   words. The raw-array fetch and the word-counter update stay outside. *)
 let flat_pair t pp box =
   let fl = t.flat in
   let is, js = Mdsp_space.Neighbor_list.raw_pairs t.nlist in
@@ -497,7 +405,7 @@ let flat_pair t pp box =
     sc.K.energy <- 0.;
     K.pair_range pp box fl.store ~is ~js 0 npairs sc;
     let w1 = Gc.minor_words () in
-    t.tm.pair_words <- t.tm.pair_words +. (w1 -. w0);
+    t.pair_words <- t.pair_words +. (w1 -. w0);
     sc.K.energy
   end
   else begin
@@ -545,24 +453,23 @@ let pair_phase t box positions acc =
 
 let compute t box positions acc =
   Mdsp_ff.Bonded.reset acc;
-  let tm = t.tm in
-  rebuild_timed t box positions;
+  let clk = t.clock in
+  refresh_neighbors t box positions;
   let bond, angle, dihedral =
-    timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
+    Timer.span clk "bonded" (fun () ->
         flat_load t box positions;
         flat_bonded t box)
   in
   let pair =
-    timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
+    Timer.span clk "pair" (fun () ->
         let pair14 = flat_pairs14 t box in
         pair14 +. pair_phase t box positions acc)
   in
   let recip, correction =
-    timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
-        compute_longrange t box positions acc)
+    Timer.span clk "lr" (fun () -> compute_longrange t box positions acc)
   in
   let e =
-    timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
+    Timer.span clk "bias" (fun () ->
         let bias = compute_biases t box positions acc in
         let e = { bond; angle; dihedral; pair; recip; correction; bias } in
         match t.transform with
@@ -571,40 +478,38 @@ let compute t box positions acc =
             let boost = tr.tr_apply box positions acc (total e) in
             { e with bias = e.bias +. boost })
   in
-  tm.calls <- tm.calls + 1;
+  Timer.tick clk;
   e
 
 let compute_class t cls box positions acc =
   Mdsp_ff.Bonded.reset acc;
-  let tm = t.tm in
+  let clk = t.clock in
   match cls with
   | `Fast ->
       let bond, angle, dihedral =
-        timed (fun d -> tm.bonded_s <- tm.bonded_s +. d) (fun () ->
+        Timer.span clk "bonded" (fun () ->
             flat_load t box positions;
             flat_bonded t box)
       in
       let pair14 =
-        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
+        Timer.span clk "pair" (fun () ->
             let p = flat_pairs14 t box in
             flat_flush t acc;
             p)
       in
       let bias =
-        timed (fun d -> tm.bias_s <- tm.bias_s +. d) (fun () ->
-            compute_biases t box positions acc)
+        Timer.span clk "bias" (fun () -> compute_biases t box positions acc)
       in
       { zero_energies with bond; angle; dihedral; pair = pair14; bias }
   | `Slow ->
-      rebuild_timed t box positions;
+      refresh_neighbors t box positions;
       let pair =
-        timed (fun d -> tm.pair_s <- tm.pair_s +. d) (fun () ->
+        Timer.span clk "pair" (fun () ->
             flat_load t box positions;
             pair_phase t box positions acc)
       in
       let recip, correction =
-        timed (fun d -> tm.longrange_s <- tm.longrange_s +. d) (fun () ->
-            compute_longrange t box positions acc)
+        Timer.span clk "lr" (fun () -> compute_longrange t box positions acc)
       in
-      tm.calls <- tm.calls + 1;
+      Timer.tick clk;
       { zero_energies with pair; recip; correction }

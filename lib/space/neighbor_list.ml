@@ -11,7 +11,6 @@ type t = {
   mutable js : int array;
   mutable npairs : int;
   mutable rebuilds : int;
-  mutable build_s : float; (* cumulative wall time spent in do_build *)
 }
 
 (* The pair generation is cut into a fixed number of tiles — contiguous
@@ -40,7 +39,6 @@ let buf_push b i j =
   b.cnt <- b.cnt + 1
 
 let do_build t positions =
-  let t0 = Timer.now () in
   let r = t.cutoff +. t.skin in
   let r2 = r *. r in
   let exec = t.exec in
@@ -94,8 +92,7 @@ let do_build t positions =
     bufs;
   t.npairs <- total;
   t.ref_positions <- Array.copy positions;
-  t.rebuilds <- t.rebuilds + 1;
-  t.build_s <- t.build_s +. Timer.since t0
+  t.rebuilds <- t.rebuilds + 1
 
 let create ?exclusions ?(exec = Exec.serial) ~cutoff ~skin box positions =
   if cutoff <= 0. then invalid_arg "Neighbor_list.create: cutoff";
@@ -112,7 +109,6 @@ let create ?exclusions ?(exec = Exec.serial) ~cutoff ~skin box positions =
       js = [||];
       npairs = 0;
       rebuilds = -1;
-      build_s = 0.;
     }
   in
   do_build t positions;
@@ -136,10 +132,15 @@ let iter_range t lo hi f =
     f t.is.(k) t.js.(k)
   done
 
-let needs_rebuild t positions =
+let needs_rebuild ?box t positions =
   let limit2 = t.skin *. t.skin /. 4. in
   let n = Array.length positions in
-  if n <> Array.length t.ref_positions then true
+  let box_changed =
+    match box with
+    | Some b -> b <> t.box
+    | None -> false
+  in
+  if box_changed || n <> Array.length t.ref_positions then true
   else begin
     let moved = ref false in
     let i = ref 0 in
@@ -157,19 +158,13 @@ let rebuild ?box t positions =
   t.rebuilds
 
 let maybe_rebuild ?box t positions =
-  let box_changed =
-    match box with
-    | Some b -> b <> t.box
-    | None -> false
-  in
-  if box_changed || needs_rebuild t positions then begin
+  if needs_rebuild ?box t positions then begin
     ignore (rebuild ?box t positions);
     true
   end
   else false
 
 let rebuild_count t = t.rebuilds
-let build_seconds t = t.build_s
 let ref_positions t = Array.copy t.ref_positions
 let cutoff t = t.cutoff
 let skin t = t.skin

@@ -52,8 +52,9 @@ val tiles : t -> ntiles:int -> (int * int) array
     in [lo, hi) — one tile of {!tiles}. *)
 val iter_range : t -> int -> int -> (int -> int -> unit) -> unit
 
-(** True if some particle moved more than skin/2 since the last build. *)
-val needs_rebuild : t -> Vec3.t array -> bool
+(** True if some particle moved more than skin/2 since the last build, or
+    [box] differs from the list's box. *)
+val needs_rebuild : ?box:Pbc.t -> t -> Vec3.t array -> bool
 
 (** Rebuild unconditionally for the given positions (and possibly new box,
     for barostats). Returns the number of rebuilds performed so far. *)
@@ -64,10 +65,6 @@ val maybe_rebuild : ?box:Pbc.t -> t -> Vec3.t array -> bool
 
 (** Total rebuild count (for the ablation bench). *)
 val rebuild_count : t -> int
-
-(** Cumulative wall-clock seconds spent inside rebuilds since creation —
-    the [nbuild] sub-phase surfaced by [Force_calc.timings]. *)
-val build_seconds : t -> float
 
 (** Copy of the positions the list was last built from. Checkpoints record
     these so a restart can {!rebuild} from the same reference and reproduce

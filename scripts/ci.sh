@@ -15,6 +15,13 @@ dune runtest
 dune exec bin/mdsp.exe -- run -p lj1k -n 10 \
   | grep -x 'pair kernel: flat (SoA) analytic loop' >/dev/null
 
+# The CLI's own phase breakdown: `--timings` must print the clock's total
+# and a zero-word serial flat pair window.
+dune exec bin/mdsp.exe -- run -p lj1k -n 20 --timings \
+  > /tmp/mdsp-run-timings.out
+grep -Eq '^  total +[0-9.]+ us$' /tmp/mdsp-run-timings.out
+grep -Eq '^  pair alloc +0\.0 words/step$' /tmp/mdsp-run-timings.out
+
 # e21 exercises the Domains backend end to end and writes the phase
 # timings (including the GSE sub-phase keys); keep it cheap but real.
 # It also times the boxed reference kernels on the engine's frame next to

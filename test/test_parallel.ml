@@ -489,37 +489,44 @@ let test_gse_trajectory_determinism () =
   Array.iteri (fun i p -> if p <> pos2.(i) then identical := false) pos1;
   check_true "GSE trajectory positions bit-identical" !identical
 
+(* The clock's undotted entries, summed in entry order. *)
+let undotted_sum clock =
+  List.fold_left
+    (fun acc (name, sec) ->
+      if String.contains name '.' then acc else acc +. sec)
+    0. (Timer.entries clock)
+
 let test_gse_subphase_timings () =
   let eng = gse_engine ~exec:Exec.serial () in
-  E.reset_timings eng;
+  E.reset_clock eng;
   E.run eng 5;
-  let tm = E.timings eng in
-  let open FC in
-  check_true "calls counted" (tm.calls = 5);
-  check_true "spread time recorded" (tm.lr_spread_s > 0.);
-  check_true "fft time recorded" (tm.lr_fft_s > 0.);
-  check_true "convolve time recorded" (tm.lr_convolve_s > 0.);
-  check_true "gather time recorded" (tm.lr_gather_s > 0.);
+  let clock = E.clock eng in
+  let sec = Timer.seconds clock in
+  check_true "calls counted" (Timer.ticks clock = 5);
+  check_true "spread time recorded" (sec "lr.spread" > 0.);
+  check_true "fft time recorded" (sec "lr.fft" > 0.);
+  check_true "convolve time recorded" (sec "lr.convolve" > 0.);
+  check_true "gather time recorded" (sec "lr.gather" > 0.);
   let sub =
-    tm.lr_spread_s +. tm.lr_fft_s +. tm.lr_convolve_s +. tm.lr_gather_s
+    sec "lr.spread" +. sec "lr.fft" +. sec "lr.convolve" +. sec "lr.gather"
   in
-  (* The sub-phases partition the grid pipeline; the longrange bucket also
-     holds the Ewald self/excluded correction work on top. *)
-  check_true "sub-phases within the longrange bucket"
-    (sub <= tm.longrange_s +. 1e-9);
-  let per = timings_per_call tm in
+  (* The sub-phases partition the grid pipeline; the lr phase also holds
+     the Ewald self/excluded correction work on top. *)
+  check_true "sub-phases within the lr phase" (sub <= sec "lr" +. 1e-9);
   check_close ~rel:1e-9 "per-call scaling of sub-phases"
-    (tm.lr_spread_s /. 5.) per.lr_spread_s;
-  (* timings_total must not double-count the breakdown. *)
+    (sec "lr.spread" /. 5.)
+    (Timer.per_tick clock (sec "lr.spread"));
+  (* The total must not double-count the breakdown. *)
   check_true "total excludes the sub-phase breakdown"
-    (abs_float
-       (timings_total tm
-       -. (tm.pair_s +. tm.bonded_s +. tm.longrange_s +. tm.bias_s
-          +. tm.neighbor_s +. tm.integrate_s +. tm.constraints_s
-          +. tm.thermostat_s))
-    < 1e-12);
-  E.reset_timings eng;
-  check_true "reset clears sub-phases" ((E.timings eng).lr_spread_s = 0.);
+    (abs_float (Timer.total clock -. undotted_sum clock) < 1e-12);
+  check_true "total holds every undotted phase"
+    (Timer.total clock
+    >= sec "pair" +. sec "lr" +. sec "neighbor" +. sec "integrate"
+       +. sec "constraints" +. sec "thermostat" -. 1e-12);
+  E.reset_clock eng;
+  check_true "reset clears sub-phases"
+    (List.for_all (fun (_, s) -> s = 0.) (Timer.entries (E.clock eng))
+    && Timer.ticks (E.clock eng) = 0);
   (* A solver-free workload must leave the grid sub-phases untouched. *)
   let plain =
     Mdsp_workload.Workloads.make_engine ~seed:3
@@ -527,8 +534,10 @@ let test_gse_subphase_timings () =
   in
   E.run plain 3;
   check_true "no GSE -> no sub-phase time"
-    ((E.timings plain).lr_spread_s = 0.
-    && (E.timings plain).lr_fft_s = 0.)
+    (List.for_all
+       (fun (name, s) ->
+         s = 0. || not (String.starts_with ~prefix:"lr." name))
+       (Timer.entries (E.clock plain)))
 
 (* --- the one force pipeline ---
 
@@ -737,14 +746,13 @@ let test_soa_pair_loop_zero_alloc () =
   let eng = Mdsp_workload.Workloads.make_engine ~seed:3 sys in
   check_true "flat pair kernel" (FC.pair_kernel (E.force_calc eng) = `Flat);
   E.run eng 2;
-  E.reset_timings eng;
+  E.reset_clock eng;
   E.run eng 10;
-  let tm = E.timings eng in
-  check_true "10 evaluations measured" (tm.FC.calls = 10);
+  let words = FC.pair_minor_words (E.force_calc eng) in
+  check_true "10 evaluations measured" (Timer.ticks (E.clock eng) = 10);
   check_true
-    (Printf.sprintf "pair loop allocates zero minor words (got %.1f)"
-       tm.FC.pair_words)
-    (tm.FC.pair_words = 0.)
+    (Printf.sprintf "pair loop allocates zero minor words (got %.1f)" words)
+    (words = 0.)
 
 let test_soa_phases_race_free () =
   (* The flat parallel phases under the write-set sanitizer at 2 and 4
@@ -857,82 +865,74 @@ let test_nbuild_subphase_timed () =
     }
   in
   let eng = Mdsp_workload.Workloads.make_engine ~config:cfg ~seed:3 sys in
-  E.reset_timings eng;
+  E.reset_clock eng;
   E.run eng 40;
-  let tm = E.timings eng in
+  let clock = E.clock eng in
+  let nbuild = Timer.seconds clock "neighbor.build" in
   let rebuilt =
     Mdsp_space.Neighbor_list.rebuild_count (FC.nlist (E.force_calc eng)) > 0
   in
-  check_true "nbuild within the neighbor bucket"
-    (tm.FC.nbuild_s >= 0. && tm.FC.nbuild_s <= tm.FC.neighbor_s +. 1e-9);
-  if rebuilt then check_true "rebuilds were timed" (tm.FC.nbuild_s > 0.)
+  check_true "nbuild within the neighbor phase"
+    (nbuild >= 0. && nbuild <= Timer.seconds clock "neighbor" +. 1e-9);
+  if rebuilt then check_true "rebuilds were timed" (nbuild > 0.)
 
 (* --- timing instrumentation --- *)
 
 let test_step_timings_populated () =
   let sys = Mdsp_workload.Workloads.lj_fluid ~n:256 () in
   let eng = Mdsp_workload.Workloads.make_engine ~seed:3 sys in
-  E.reset_timings eng;
+  E.reset_clock eng;
   E.run eng 10;
-  let tm = E.timings eng in
-  let open FC in
-  check_true "one force evaluation per step" (tm.calls = 10);
-  check_true "pair time recorded" (tm.pair_s > 0.);
+  let clock = E.clock eng in
+  let sec = Timer.seconds clock in
+  check_true "one force evaluation per step" (Timer.ticks clock = 10);
+  check_true "pair time recorded" (sec "pair" > 0.);
   check_true "phases non-negative"
-    (tm.bonded_s >= 0. && tm.longrange_s >= 0. && tm.bias_s >= 0.
-    && tm.neighbor_s >= 0.);
-  check_true "integrator sweep time recorded" (tm.integrate_s > 0.);
-  let per = timings_per_call tm in
-  check_close ~rel:1e-9 "per-call scaling" (tm.pair_s /. 10.) per.pair_s;
+    (sec "bonded" >= 0. && sec "lr" >= 0. && sec "bias" >= 0.
+    && sec "neighbor" >= 0.);
+  check_true "integrator sweep time recorded" (sec "integrate" > 0.);
+  check_close ~rel:1e-9 "per-call scaling" (sec "pair" /. 10.)
+    (Timer.per_tick clock (sec "pair"));
   check_true "total is the sum"
-    (abs_float
-       (timings_total tm
-       -. (tm.pair_s +. tm.bonded_s +. tm.longrange_s +. tm.bias_s
-          +. tm.neighbor_s +. tm.integrate_s))
-    < 1e-12);
-  E.reset_timings eng;
-  check_true "reset clears" ((E.timings eng).calls = 0)
+    (abs_float (Timer.total clock -. undotted_sum clock) < 1e-12);
+  E.reset_clock eng;
+  check_true "reset clears" (Timer.ticks (E.clock eng) = 0)
 
 let test_resource_rows_mapping () =
-  let w =
-    Mdsp_machine.Perf.plain_workload ~n_atoms:1000 ~density:0.1 ~cutoff:9.
-      ~dt_fs:2.
-  in
-  let b = Mdsp_machine.Perf.step_time (Mdsp_machine.Config.anton_like ()) w in
-  let tm = FC.zero_timings () in
-  tm.FC.pair_s <- 2.0;
-  tm.FC.bonded_s <- 0.5;
-  tm.FC.bias_s <- 0.25;
-  tm.FC.calls <- 10;
-  let rows = Mdsp_machine.Perf.resource_rows b tm in
-  let find name =
-    List.find (fun r -> r.Mdsp_machine.Perf.resource = name) rows
-  in
-  (match (find "pair pipelines").Mdsp_machine.Perf.measured_s with
+  let module P = Mdsp_machine.Perf in
+  let w = P.plain_workload ~n_atoms:1000 ~density:0.1 ~cutoff:9. ~dt_fs:2. in
+  let b = P.step_time (Mdsp_machine.Config.anton_like ()) w in
+  let clock = Timer.table () in
+  Timer.charge clock "pair" 2.0;
+  Timer.charge clock "bonded" 0.5;
+  Timer.charge clock "bias" 0.25;
+  for _ = 1 to 10 do
+    Timer.tick clock
+  done;
+  let find rows name = List.find (fun r -> r.P.resource = name) rows in
+  let rows = P.resource_rows b clock in
+  (match (find rows "pair pipelines").P.measured_s with
   | Some v -> check_float ~eps:1e-12 "pair maps per-call" 0.2 v
   | None -> Alcotest.fail "pair row unmapped");
-  (match (find "flex cores").Mdsp_machine.Perf.measured_s with
+  (match (find rows "flex cores").P.measured_s with
   | Some v -> check_float ~eps:1e-12 "flex = bonded + bias" 0.075 v
   | None -> Alcotest.fail "flex row unmapped");
   check_true "sync has no host analogue"
-    ((find "sync").Mdsp_machine.Perf.measured_s = None);
-  (* The neighbor-build sub-phase row maps timings.nbuild_s. *)
-  tm.FC.nbuild_s <- 1.0;
-  let rows' = Mdsp_machine.Perf.resource_rows b tm in
-  (match
-     (List.find
-        (fun r -> r.Mdsp_machine.Perf.resource = "  nbuild")
-        rows')
-       .Mdsp_machine.Perf.measured_s
-   with
+    ((find rows "sync").P.measured_s = None);
+  (* The neighbor-build sub-phase row maps neighbor.build; the model has
+     no build term, so the row carries no model value. *)
+  Timer.charge clock "neighbor.build" 1.0;
+  let nbuild = find (P.resource_rows b clock) "  nbuild" in
+  (match nbuild.P.measured_s with
   | Some v -> check_float ~eps:1e-12 "nbuild maps per-call" 0.1 v
   | None -> Alcotest.fail "nbuild row unmapped");
+  check_true "nbuild has no model value" (nbuild.P.model_s = None);
+  check_true "network keeps its model value"
+    ((find rows "network").P.model_s = Some b.P.comm_s);
   (* Unmeasured timings map to nothing. *)
-  let rows0 = Mdsp_machine.Perf.resource_rows b (FC.zero_timings ()) in
+  let rows0 = P.resource_rows b (Timer.table ()) in
   check_true "no calls -> no measured columns"
-    (List.for_all
-       (fun r -> r.Mdsp_machine.Perf.measured_s = None)
-       rows0)
+    (List.for_all (fun r -> r.P.measured_s = None) rows0)
 
 let () =
   Alcotest.run "parallel"

@@ -287,16 +287,34 @@ let test_neighbor_list_parallel_rebuild_race_free () =
       ignore (Neighbor_list.rebuild nl moved);
       check_true "sanitized rebuild completed" (Neighbor_list.length nl > 0))
 
-let test_neighbor_list_build_seconds () =
-  let box, positions =
-    random_positions ~seed:39 ~n:100 ~box_l:14. ~min_dist:0.8
+let test_neighbor_list_build_timed () =
+  (* A forced rebuild inside a force evaluation is timed on the calculator's
+     clock: [neighbor.build] is the slice of [neighbor] spent building. *)
+  let module E = Mdsp_md.Engine in
+  let module FC = Mdsp_md.Force_calc in
+  let eng =
+    Mdsp_workload.Workloads.make_engine ~seed:3
+      (Mdsp_workload.Workloads.lj_fluid ~n:64 ())
   in
-  let nl = Neighbor_list.create ~cutoff:3.5 ~skin:1. box positions in
-  let t0 = Neighbor_list.build_seconds nl in
-  check_true "creation time accounted" (t0 >= 0.);
-  ignore (Neighbor_list.rebuild nl positions);
-  check_true "rebuild time accumulates"
-    (Neighbor_list.build_seconds nl >= t0)
+  let fc = E.force_calc eng in
+  let nl = FC.nlist fc in
+  let st = E.state eng in
+  let box = st.Mdsp_md.State.box in
+  let moved =
+    Array.map
+      (fun p -> Vec3.add p (Vec3.make (Neighbor_list.skin nl) 0. 0.))
+      st.Mdsp_md.State.positions
+  in
+  E.reset_clock eng;
+  let r0 = Neighbor_list.rebuild_count nl in
+  ignore
+    (FC.compute fc box moved (Mdsp_ff.Bonded.make_accum (Array.length moved)));
+  check_true "rebuild forced" (Neighbor_list.rebuild_count nl = r0 + 1);
+  let clock = FC.clock fc in
+  let build = Timer.seconds clock "neighbor.build" in
+  check_true "build time accounted" (build > 0.);
+  check_true "build within the neighbor phase"
+    (build <= Timer.seconds clock "neighbor")
 
 (* --- Decomp --- *)
 
@@ -388,7 +406,7 @@ let () =
           Alcotest.test_case "sanitized parallel rebuild race-free" `Quick
             test_neighbor_list_parallel_rebuild_race_free;
           Alcotest.test_case "build time accounting" `Quick
-            test_neighbor_list_build_seconds;
+            test_neighbor_list_build_timed;
           prop_neighbor_list_skin_sweep;
         ] );
       ( "decomp",

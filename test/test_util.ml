@@ -489,6 +489,42 @@ let test_table_text_mismatch () =
     (Invalid_argument "Table_text.row: cell count mismatch") (fun () ->
       Table_text.row t [ "x"; "y" ])
 
+let test_timer_phase_table () =
+  let tbl = Timer.table () in
+  Timer.charge tbl "lr" 2.0;
+  Timer.charge tbl "lr.spread" 1.5;
+  Timer.charge tbl "pair" 1.0;
+  Timer.charge tbl "neighbor.build" 0.25;
+  Timer.charge tbl "lr.fft" 0.25;
+  let v = Timer.span tbl "pair" (fun () -> 42) in
+  check_true "span returns the body's value" (v = 42);
+  check_true "span counted" (Timer.calls tbl "pair" = 2);
+  check_true "span adds to charged time" (Timer.seconds tbl "pair" >= 1.0);
+  check_float "unknown name reads 0" 0. (Timer.seconds tbl "bonded");
+  check_true "unknown name has no calls" (Timer.calls tbl "bonded" = 0);
+  (* Dotted children are a breakdown: only lr, pair and the (absent)
+     neighbor root count. *)
+  check_float ~eps:1e-12 "total excludes dotted children"
+    (2.0 +. Timer.seconds tbl "pair")
+    (Timer.total tbl);
+  let names () = List.map fst (Timer.entries tbl) in
+  let expected = [ "lr"; "lr.spread"; "lr.fft"; "pair"; "neighbor.build" ] in
+  check_true "first-recorded order, children under their root"
+    (names () = expected);
+  check_float "no ticks -> per_tick 0" 0. (Timer.per_tick tbl 3.0);
+  Timer.tick tbl;
+  Timer.tick tbl;
+  check_float "per_tick divides by ticks" 1.5 (Timer.per_tick tbl 3.0);
+  Timer.reset tbl;
+  check_true "reset clears ticks" (Timer.ticks tbl = 0);
+  check_true "reset clears every figure"
+    (List.for_all (fun (n, s) -> s = 0. && Timer.calls tbl n = 0)
+       (Timer.entries tbl));
+  Timer.charge tbl "lr.convolve" 0.5;
+  check_true "order stable across reset"
+    (names ()
+    = [ "lr"; "lr.spread"; "lr.fft"; "lr.convolve"; "pair"; "neighbor.build" ])
+
 let () =
   Alcotest.run "mdsp_util"
     [
@@ -584,4 +620,6 @@ let () =
           Alcotest.test_case "render" `Quick test_table_text_render;
           Alcotest.test_case "mismatch" `Quick test_table_text_mismatch;
         ] );
+      ( "timer",
+        [ Alcotest.test_case "phase table" `Quick test_timer_phase_table ] );
     ]
