@@ -474,6 +474,25 @@ let e21 () =
     [ "spread"; "fft"; "convolve"; "gather" ];
   gse_phase ~key:"total" "long-range total" "lr";
   T.print t_gse;
+  (* Allocation of one warm serial grid call, per charged atom: the
+     separable stencil allocates only the updated force vectors plus a
+     fixed per-call overhead, so a per-stencil-point regression shows up
+     as thousands of words here. *)
+  let lr_words_per_atom =
+    let open Mdsp_workload.Workloads in
+    let q = Mdsp_ff.Topology.charges gse_sys.topo in
+    let pos = gse_sys.positions in
+    let gse = Mdsp_longrange.Gse.create ~beta:0.4 ~grid:gse_grid gse_sys.box in
+    let acc = Mdsp_ff.Bonded.make_accum (Array.length pos) in
+    ignore (Mdsp_longrange.Gse.reciprocal gse q pos acc);
+    let charged = Array.fold_left (fun k x -> if x <> 0. then k + 1 else k) 0 q in
+    let w0 = Gc.minor_words () in
+    ignore (Mdsp_longrange.Gse.reciprocal gse q pos acc);
+    (Gc.minor_words () -. w0) /. float_of_int (max 1 charged)
+  in
+  note "serial grid call allocation: %.1f minor words per charged atom.\n"
+    lr_words_per_atom;
+  record "e21.lr_minor_words_per_atom" lr_words_per_atom;
   (* The analytic machine model for the grid workload, next to what we
      actually measured on the host backend — sub-phase rows included on
      both sides. *)

@@ -1,17 +1,47 @@
 open Mdsp_util
 
+(* One particle's spreading stencil, factorised by axis. Entry [k] of an
+   axis covers the neighbor cell at offset [k - s] from the home cell:
+   [d*] is the displacement of the particle from that grid coordinate,
+   [e*] the 1-D Gaussian factor exp(-d^2 / 2 sigma^2), and [i*] the
+   periodic grid index already scaled by the axis stride (1, nx, nx ny),
+   so a stencil point's flat index is [ix.(a) + iy.(b) + iz.(c)]. *)
+type stencil = {
+  dx : float array;
+  dy : float array;
+  dz : float array;
+  ex : float array;
+  ey : float array;
+  ez : float array;
+  ix : int array;
+  iy : int array;
+  iz : int array;
+}
+
 type t = {
   beta_ : float;
   sigma : float;
-  support : float;
   nx : int;
   ny : int;
   nz : int;
   box : Pbc.t;
   ghat : float array;  (** influence function, indexed like the grid *)
   k2s : float array;  (** squared wavevector per grid point *)
-  (* Per-slot scratch grids for domain-parallel charge spreading, sized
-     lazily to the executor actually used and reused across steps. *)
+  (* Stencil half-widths in cells per axis: the support radius
+     [support * sigma] rounded up to whole grid spacings. *)
+  sx : int;
+  sy : int;
+  sz : int;
+  norm : float;  (** Gaussian normalisation (2 pi sigma^2)^(-3/2) *)
+  inv_2s2 : float;
+  r_max2 : float;  (** squared truncation radius *)
+  (* The charge/potential grid pair, cleared on entry to each call. *)
+  re : float array;
+  im : float array;
+  (* Per-slot scratch, sized lazily to the executor actually used and
+     reused across steps: one stencil per slot, and one private spread grid
+     per slot for domain-parallel charge spreading. *)
+  mutable stencils : stencil array;
   mutable scratch : float array array;
 }
 
@@ -54,8 +84,9 @@ let create ~beta ~grid:(nx, ny, nz) ?sigma_s ?(support = 4.) box =
      harmless perturbation of the influence function, not a blow-up, since
      |rem| k^2 stays tiny for every representable grid wavevector. *)
   let rem = (1. /. (4. *. beta *. beta)) -. (sigma *. sigma) in
-  let ghat = Array.make (nx * ny * nz) 0. in
-  let k2s = Array.make (nx * ny * nz) 0. in
+  let total = nx * ny * nz in
+  let ghat = Array.make total 0. in
+  let k2s = Array.make total 0. in
   for mz = 0 to nz - 1 do
     for my = 0 to ny - 1 do
       for mx = 0 to nx - 1 do
@@ -70,70 +101,139 @@ let create ~beta ~grid:(nx, ny, nz) ?sigma_s ?(support = 4.) box =
       done
     done
   done;
-  { beta_ = beta; sigma; support; nx; ny; nz; box; ghat; k2s; scratch = [||] }
+  let r = support *. sigma in
+  let cells l n = int_of_float (ceil (r /. (l /. float_of_int n))) in
+  {
+    beta_ = beta;
+    sigma;
+    nx;
+    ny;
+    nz;
+    box;
+    ghat;
+    k2s;
+    sx = cells box.lx nx;
+    sy = cells box.ly ny;
+    sz = cells box.lz nz;
+    norm = (2. *. Float.pi *. sigma *. sigma) ** (-1.5);
+    inv_2s2 = 1. /. (2. *. sigma *. sigma);
+    r_max2 = r ** 2.;
+    re = Array.make total 0.;
+    im = Array.make total 0.;
+    stencils = [||];
+    scratch = [||];
+  }
 
 let beta t = t.beta_
 let grid t = (t.nx, t.ny, t.nz)
 
-let support_cells t =
-  let open Pbc in
-  let dx = t.box.lx /. float_of_int t.nx in
-  let dy = t.box.ly /. float_of_int t.ny in
-  let dz = t.box.lz /. float_of_int t.nz in
-  let r = t.support *. t.sigma in
-  ( int_of_float (ceil (r /. dx)),
-    int_of_float (ceil (r /. dy)),
-    int_of_float (ceil (r /. dz)) )
-
-let support_points t =
-  let sx, sy, sz = support_cells t in
-  ((2 * sx) + 1) * ((2 * sy) + 1) * ((2 * sz) + 1)
-
-(* Iterate over the grid points within the spreading support of position p,
-   calling [f idx gauss dx dy dz]. The position is first wrapped into the
-   primary box ([Pbc.wrap]) to find its home cell (cx, cy, cz); the stencil
-   then walks unwrapped neighbor coordinates cx+ox, ... whose *indices* are
+(* One axis of the stencil around coordinate [x], wrapped into the primary
+   box first. The home cell is [c = floor (x / h)]; the stencil walks the
+   unwrapped neighbor coordinates g = c + k - s, whose *indices* are
    reduced mod n into the periodic grid while the *displacement* is taken
-   against the unwrapped coordinate float_of_int (cx+ox) * dx. As long as
-   the support radius is below half the box (enforced in practice by any
+   against the unwrapped coordinate float_of_int g * h. As long as the
+   support radius is below half the box (enforced in practice by any
    sensible grid), that unwrapped neighbor is the nearest periodic image of
-   grid point (gx, gy, gz), so no additional minimum-image step is needed —
-   and the same weight is produced for a particle and its wrapped copy,
-   which is what makes spreading translation-consistent under PBC. *)
-let iter_support t (p : Vec3.t) f =
+   the grid point, so no additional minimum-image step is needed — and the
+   same weights are produced for a particle and its wrapped copy, which is
+   what makes spreading translation-consistent under PBC. *)
+let[@inline] fill_axis ~inv_2s2 ~n ~l ~s ~stride x d e idx =
+  (* [Pbc.wrap] of one coordinate, written out so no float is boxed for a
+     cross-module call. *)
+  let x = Float.rem x l in
+  let x = if x < 0. then x +. l else x in
+  let h = l /. float_of_int n in
+  let c = int_of_float (x /. h) in
+  for k = 0 to 2 * s do
+    let g = c + k - s in
+    let dk = x -. (float_of_int g *. h) in
+    d.(k) <- dk;
+    e.(k) <- exp (-.(dk *. dk) *. inv_2s2);
+    idx.(k) <- stride * ((g mod n + n) mod n)
+  done
+
+let[@inline] fill_stencil t st (p : Vec3.t) =
   let open Pbc in
-  let dx = t.box.lx /. float_of_int t.nx in
-  let dy = t.box.ly /. float_of_int t.ny in
-  let dz = t.box.lz /. float_of_int t.nz in
-  let sx, sy, sz = support_cells t in
-  let w = Pbc.wrap t.box p in
-  let cx = int_of_float (w.Vec3.x /. dx) in
-  let cy = int_of_float (w.Vec3.y /. dy) in
-  let cz = int_of_float (w.Vec3.z /. dz) in
-  let norm = (2. *. Float.pi *. t.sigma *. t.sigma) ** (-1.5) in
-  let inv_2s2 = 1. /. (2. *. t.sigma *. t.sigma) in
-  let r_max2 = (t.support *. t.sigma) ** 2. in
-  for oz = -sz to sz do
-    for oy = -sy to sy do
-      for ox = -sx to sx do
-        let gx = ((cx + ox) mod t.nx + t.nx) mod t.nx in
-        let gy = ((cy + oy) mod t.ny + t.ny) mod t.ny in
-        let gz = ((cz + oz) mod t.nz + t.nz) mod t.nz in
-        let rx = float_of_int (cx + ox) *. dx in
-        let ry = float_of_int (cy + oy) *. dy in
-        let rz = float_of_int (cz + oz) *. dz in
-        let ddx = w.Vec3.x -. rx in
-        let ddy = w.Vec3.y -. ry in
-        let ddz = w.Vec3.z -. rz in
-        let r2 = (ddx *. ddx) +. (ddy *. ddy) +. (ddz *. ddz) in
-        if r2 <= r_max2 then begin
-          let g = norm *. exp (-.r2 *. inv_2s2) in
-          let idx = gx + (t.nx * (gy + (t.ny * gz))) in
-          f idx g ddx ddy ddz
-        end
-      done
+  let inv_2s2 = t.inv_2s2 in
+  fill_axis ~inv_2s2 ~n:t.nx ~l:t.box.lx ~s:t.sx ~stride:1 p.Vec3.x st.dx
+    st.ex st.ix;
+  fill_axis ~inv_2s2 ~n:t.ny ~l:t.box.ly ~s:t.sy ~stride:t.nx p.Vec3.y st.dy
+    st.ey st.iy;
+  fill_axis ~inv_2s2 ~n:t.nz ~l:t.box.lz ~s:t.sz ~stride:(t.nx * t.ny)
+    p.Vec3.z st.dz st.ez st.iz
+
+(* The stencil covers the (2s+1)^3 cube around the home cell, truncated to
+   the sphere (dx^2 + dy^2) + dz^2 <= r_max2. Rounded addition is
+   monotone, so a row whose (dy^2 + dz^2) already exceeds the radius holds
+   no point of the sphere and is skipped whole. *)
+
+(* Add charge i into [grid]: each in-sphere point gets q norm ez ey ex,
+   with the ez ey product hoisted per row. Particles are passed by index,
+   so no float crosses a call boundary boxed. *)
+let spread_charge t st grid charges positions i =
+  fill_stencil t st positions.(i);
+  let r_max2 = t.r_max2 in
+  let qn = charges.(i) *. t.norm in
+  for kz = 0 to 2 * t.sz do
+    let dz = st.dz.(kz) in
+    let dz2 = dz *. dz in
+    let qz = qn *. st.ez.(kz) and oz = st.iz.(kz) in
+    for ky = 0 to 2 * t.sy do
+      let dy = st.dy.(ky) in
+      let dy2 = dy *. dy in
+      if dy2 +. dz2 <= r_max2 then begin
+        let qyz = qz *. st.ey.(ky) and oyz = oz + st.iy.(ky) in
+        for kx = 0 to 2 * t.sx do
+          let dx = st.dx.(kx) in
+          if (dx *. dx) +. dy2 +. dz2 <= r_max2 then begin
+            let idx = st.ix.(kx) + oyz in
+            grid.(idx) <- grid.(idx) +. (qyz *. st.ex.(kx))
+          end
+        done
+      end
     done
   done
+
+(* Add the force on charge i from the potential grid [phi] into [forces]:
+   F = c q sum_g phi_g g (r - r_g), summed along x first per (z, y) row as
+   sum phi ex and sum phi ex dx, then weighted by ez ey. [c] carries the
+   Gaussian norm and unit scale. *)
+let gather_force t st phi ~c charges positions forces i =
+  fill_stencil t st positions.(i);
+  let r_max2 = t.r_max2 in
+  let fx = ref 0. and fy = ref 0. and fz = ref 0. in
+  for kz = 0 to 2 * t.sz do
+    let dz = st.dz.(kz) in
+    let dz2 = dz *. dz in
+    let ez = st.ez.(kz) and oz = st.iz.(kz) in
+    for ky = 0 to 2 * t.sy do
+      let dy = st.dy.(ky) in
+      let dy2 = dy *. dy in
+      if dy2 +. dz2 <= r_max2 then begin
+        let oyz = oz + st.iy.(ky) in
+        let s0 = ref 0. and s1 = ref 0. in
+        for kx = 0 to 2 * t.sx do
+          let dx = st.dx.(kx) in
+          if (dx *. dx) +. dy2 +. dz2 <= r_max2 then begin
+            let w = phi.(st.ix.(kx) + oyz) *. st.ex.(kx) in
+            s0 := !s0 +. w;
+            s1 := !s1 +. (w *. dx)
+          end
+        done;
+        let eyz = ez *. st.ey.(ky) in
+        fx := !fx +. (eyz *. !s1);
+        fy := !fy +. (eyz *. dy *. !s0);
+        fz := !fz +. (eyz *. dz *. !s0)
+      end
+    done
+  done;
+  let c = charges.(i) *. c and f = forces.(i) in
+  forces.(i) <-
+    {
+      Vec3.x = f.Vec3.x +. (c *. !fx);
+      y = f.Vec3.y +. (c *. !fy);
+      z = f.Vec3.z +. (c *. !fz);
+    }
 
 (* Charge [sel]'s phase bucket with the wall time of [f ()]. *)
 let timed phases sel f =
@@ -156,33 +256,49 @@ let rec tree_cell grids g lo hi =
     tree_cell grids g lo mid +. tree_cell grids g mid hi
   end
 
+let slot_stencils t ns =
+  if Array.length t.stencils <> ns then begin
+    let axis s = Array.make ((2 * s) + 1) 0. in
+    let index s = Array.make ((2 * s) + 1) 0 in
+    t.stencils <-
+      Array.init ns (fun _ ->
+          {
+            dx = axis t.sx;
+            dy = axis t.sy;
+            dz = axis t.sz;
+            ex = axis t.sx;
+            ey = axis t.sy;
+            ez = axis t.sz;
+            ix = index t.sx;
+            iy = index t.sy;
+            iz = index t.sz;
+          })
+  end;
+  t.stencils
+
 let scratch_grids t ns =
   let total = t.nx * t.ny * t.nz in
-  if Array.length t.scratch <> ns
-     || (ns > 0 && Array.length t.scratch.(0) <> total)
-  then t.scratch <- Array.init ns (fun _ -> Array.make total 0.);
+  if Array.length t.scratch <> ns then
+    t.scratch <- Array.init ns (fun _ -> Array.make total 0.);
   t.scratch
 
 (* 1. Spread charges. Serial: accumulate directly into [re] in particle
-   order (bitwise identical to the historical serial path). Parallel: each
-   slot spreads its contiguous particle tile into a private scratch grid,
-   then the grids are combined point-wise with the fixed-shape tree,
-   itself tiled over the pool. *)
+   order. Parallel: each slot spreads its contiguous particle tile into a
+   private scratch grid, then the grids are combined point-wise with the
+   fixed-shape tree, itself tiled over the pool. *)
 let spread ~exec t charges positions re =
   let n = Array.length positions in
   let ns = Exec.n_slots exec in
+  let sts = slot_stencils t ns in
   if ns = 1 && not (Exec.sanitizing exec) then
     for i = 0 to n - 1 do
-      let q = charges.(i) in
-      if q <> 0. then
-        iter_support t positions.(i) (fun idx g _ _ _ ->
-            re.(idx) <- re.(idx) +. (q *. g))
+      if charges.(i) <> 0. then spread_charge t sts.(0) re charges positions i
     done
   else begin
     let grids = scratch_grids t ns in
     let p_tiles = Exec.tile_bounds ~total:n ~ntiles:ns in
     Exec.parallel_run ~phase:"gse.spread" exec (fun s ->
-        let grid = grids.(s) in
+        let grid = grids.(s) and st = sts.(s) in
         Array.fill grid 0 (Array.length grid) 0.;
         let lo, hi = p_tiles.(s) in
         (* Each slot spreads a particle tile into its private scratch grid;
@@ -191,10 +307,8 @@ let spread ~exec t charges positions re =
           exec;
         Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi exec;
         for i = lo to hi - 1 do
-          let q = charges.(i) in
-          if q <> 0. then
-            iter_support t positions.(i) (fun idx g _ _ _ ->
-                grid.(idx) <- grid.(idx) +. (q *. g))
+          if charges.(i) <> 0. then
+            spread_charge t st grid charges positions i
         done);
     let total = t.nx * t.ny * t.nz in
     let g_tiles = Exec.tile_bounds ~total ~ntiles:ns in
@@ -215,8 +329,9 @@ let reciprocal ?(exec = Exec.serial) ?phases t charges positions
   let n = Array.length positions in
   let ns = Exec.n_slots exec in
   let total = t.nx * t.ny * t.nz in
-  let re = Array.make total 0. in
-  let im = Array.make total 0. in
+  let re = t.re and im = t.im in
+  Array.fill re 0 total 0.;
+  Array.fill im 0 total 0.;
   (* 1. Spread charges onto the grid. *)
   timed phases
     (fun p d -> p.spread_s <- p.spread_s +. d)
@@ -288,13 +403,15 @@ let reciprocal ?(exec = Exec.serial) ?phases t charges positions
      each slot writes only its own particles' force entries, so no scratch
      accumulators or reduction are needed and the per-particle arithmetic
      is identical to serial. *)
-  let inv_s2 = 1. /. (t.sigma *. t.sigma) in
+  let c = t.norm *. cell_vol /. (t.sigma *. t.sigma) *. Units.coulomb in
   timed phases
     (fun p d -> p.gather_s <- p.gather_s +. d)
     (fun () ->
       let p_tiles = Exec.tile_bounds ~total:n ~ntiles:ns in
+      let sts = slot_stencils t ns in
       Exec.parallel_run ~phase:"gse.gather" exec (fun s ->
           let lo, hi = p_tiles.(s) in
+          let st = sts.(s) in
           Exec.declare_write ~slot:s ~resource:"gse.gather" ~total:n ~lo ~hi
             exec;
           (* Accumulates into the slot's own force entries (same-slot
@@ -308,18 +425,7 @@ let reciprocal ?(exec = Exec.serial) ?phases t charges positions
           Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi
             exec;
           for i = lo to hi - 1 do
-            let q = charges.(i) in
-            if q <> 0. then begin
-              let fx = ref 0. and fy = ref 0. and fz = ref 0. in
-              iter_support t positions.(i) (fun idx g dx dy dz ->
-                  let w = re.(idx) *. g in
-                  fx := !fx +. (w *. dx);
-                  fy := !fy +. (w *. dy);
-                  fz := !fz +. (w *. dz));
-              let c = q *. cell_vol *. inv_s2 *. Units.coulomb in
-              acc.forces.(i) <-
-                Vec3.add acc.forces.(i)
-                  (Vec3.make (c *. !fx) (c *. !fy) (c *. !fz))
-            end
+            if charges.(i) <> 0. then
+              gather_force t st re ~c charges positions acc.forces i
           done));
   energy

@@ -33,9 +33,23 @@
       (static tiles, fixed reduction shapes);
     - serial and parallel results differ only by floating-point summation
       order in the spread and convolve reductions — relative differences at
-      rounding level (the test suite enforces <= 1e-10);
-    - the serial path ([Exec.serial]) is bitwise identical to the
-      historical serial implementation.
+      rounding level (the test suite enforces <= 1e-10).
+
+    {2 Separable stencil}
+
+    Each charge touches the grid points of the (2s+1)^3 cube around its
+    home cell that lie inside the truncation sphere [|r - r_g| <=
+    support * sigma_s]. The Gaussian factorises by axis,
+    exp(-r^2 / 2 sigma^2) = e_x e_y e_z, so per particle only the 3(2s+1)
+    displacements, 1-D factors and periodic indices are computed (one [exp]
+    per axis entry, in per-slot scratch cached inside [t]); spreading and
+    gathering then walk the sphere with multiply-adds alone, and gathering
+    sums each (z, y) row along x first. The set of grid points is exactly
+    that of the per-point sphere test; the values agree with a per-point
+    [exp] evaluation to rounding (the test suite pins energy, virial and
+    forces to a recorded per-point reference within 1e-12 relative). A
+    serial call allocates a few words per charged atom (the updated force
+    vector) plus a fixed per-call overhead.
 
     Grid dimensions must be powers of two. *)
 
@@ -77,8 +91,9 @@ val create :
 
     [exec] (default {!Mdsp_util.Exec.serial}) runs every stage — spread,
     FFT, convolve, gather — on the pool as described above; [phases]
-    accumulates per-stage wall time when provided. Per-slot scratch grids
-    are cached inside [t] and reused across calls. *)
+    accumulates per-stage wall time when provided. The charge/potential
+    grids and the per-slot stencils and scratch grids are cached inside [t]
+    and reused across calls, so one [t] must not run two calls at once. *)
 val reciprocal :
   ?exec:Exec.t -> ?phases:phases ->
   t -> float array -> Vec3.t array -> Mdsp_ff.Bonded.accum -> float
@@ -88,6 +103,3 @@ val beta : t -> float
 
 (** Grid dimensions [(nx, ny, nz)]. *)
 val grid : t -> int * int * int
-
-(** Number of grid points each charge spreads to (cost model input). *)
-val support_points : t -> int

@@ -48,6 +48,17 @@ awk -F': ' '
 ' /tmp/mdsp-timings.json
 grep -Eq '"e21\.soa_pair_minor_words_per_step": 0(,|$)' /tmp/mdsp-timings.json
 
+# The GSE spread and gather walk a separable stencil without allocating
+# per grid point: a warm serial grid call must stay at or under 128 minor
+# words per charged atom (a per-point closure costs thousands).
+awk -F': ' '
+  /"e21\.lr_minor_words_per_atom"/ {
+    v = $2; gsub(/,/, "", v); found = 1
+    if (v + 0 > 128) { print "ci: GSE grid call allocates " v " minor words/atom (> 128)"; exit 1 }
+  }
+  END { if (!found) { print "ci: e21.lr_minor_words_per_atom missing"; exit 1 } }
+' /tmp/mdsp-timings.json
+
 # Verification gate: interval-analyze every built-in kernel, check every
 # compiled table's domain/fit/quantization, race-sanitize all parallel
 # phases at 1/2/4 slots, and certify the fixed-point datapaths for the

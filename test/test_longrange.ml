@@ -294,6 +294,140 @@ let test_gse_chargeless_is_zero () =
     (fun f -> check_true "zero forces" (Vec3.norm f = 0.))
     acc.Mdsp_ff.Bonded.forces
 
+(* Serial [Gse.reciprocal] on [water_box ~n_side:3] at 16^3, beta 0.4, as
+   computed by the per-grid-point stencil (one [exp] per point) that the
+   separable stencil replaced, printed at 17 significant digits. The
+   separable factorisation changes rounding only. *)
+let golden_energy = 46.946219031024597
+let golden_virial = -102.2724925759389
+
+let golden_forces =
+  [|
+    (3.1319688854356094, -11.027873519957492, -3.7243599925407276);
+    (-2.2329042709132634, 6.4444650697525905, 1.6676898651145597);
+    (-1.0193620908486196, 3.7503026133013084, 2.6627121169165338);
+    (12.995992541736731, -5.1695512289289427, -1.7867862002857613);
+    (-3.813583664401313, 2.6176522618881113, 0.52380576218950881);
+    (-5.695807511688777, 2.9063953059125316, 0.87888785609654052);
+    (4.6235038948690734, -11.116126919422546, 5.5353220575887718);
+    (-0.063503607778974597, 5.6568401209877308, -1.8165442468540951);
+    (-2.0828930547816977, 3.0769594714371693, -2.4803103130193507);
+    (7.5755836376381938, 3.4631085768846299, -1.2074825191043013);
+    (-4.8213073936034858, -0.79181340173878845, 1.8709616050902758);
+    (-1.7513567169867974, -2.4611849335295188, 0.10445961806101482);
+    (9.1988540816956377, -2.7849364410553132, -3.997416609732459);
+    (-3.2011493329368457, 2.3090526038926535, 1.8734650576111145);
+    (-5.7082533610132211, 1.4744839324416277, 1.6010047569822758);
+    (4.520208722014039, 2.2372576474124095, 5.2572871218500676);
+    (-1.8776107465185998, -3.2200609295905736, -3.2358646009188354);
+    (-1.6076049901582385, -1.8475739326240996, -2.6215286682421044);
+    (0.47045582362937033, 7.6180818668522141, -4.9038029877465856);
+    (-3.0276258097578799, -3.7392056457554395, 5.2395236776440486);
+    (1.0158468135435543, -2.8416008439855851, 0.13726061783930366);
+    (10.528096603785047, 7.968624593817994, -4.3178709757109788);
+    (-4.9712678358366675, -3.5213492862654809, 0.78669907382242288);
+    (-5.2256330413601288, -2.9610465716043723, 4.4958324621948256);
+    (1.4581194817511243, 9.0136861644281279, 9.1933268410994575);
+    (0.11926645836877668, -3.0231582658789886, -4.2754822538938173);
+    (-2.7122553158185485, -3.5873646221801629, -4.8731994283340541);
+    (-11.737094514169184, -5.5619926749538466, 0.68437945843008807);
+    (6.0262903572068263, 3.1740234255493425, -1.1393999072002869);
+    (5.2731781865304415, 2.4570806264609, -0.36021369618045068);
+    (-11.835433501216613, -9.1417961206996932, 1.7140233293471558);
+    (5.6824410056002153, 3.3173139840456303, -1.3820749310073324);
+    (4.7862913884813683, 4.2289110041814935, 0.030668287992037593);
+    (-7.803356630858052, -8.6160157055489428, -2.3833878985390053);
+    (4.192637365069948, 4.6011169656672175, 1.1779106992658095);
+    (3.952355947062681, 2.5865633397725105, 1.5339865458627326);
+    (-12.359299527445209, 3.5134040611136728, -1.1152285068703249);
+    (4.3126684492437093, -0.98727178675886706, 0.080298580629113173);
+    (4.9266735624593831, -1.7828764736998237, -0.32533114193518126);
+    (-9.0529879370193562, 2.0140025542593558, -1.6671093587246077);
+    (2.6645311291241502, 0.78496480825698967, 1.6702897020089917);
+    (5.6283444427911853, -1.4369941902467469, 1.0964836405016385);
+    (-5.2939758084319459, 3.3307779350288289, 2.7799045724952705);
+    (1.9517549089819095, -2.3920472536605435, -1.5972028956527617);
+    (3.6018140293746148, -1.4211388658404138, -1.2628939585225003);
+    (-9.648012344046796, 2.0525232462295322, 2.2578163351128127);
+    (5.0000805975180613, -0.96317868010123253, -1.2552115442703151);
+    (5.0700469299138335, -1.8878659781786726, -0.65644267368587006);
+    (-6.2474286688464371, 7.0642979756013178, -0.39666796237328789);
+    (4.9903402081349357, -2.2883029787285056, -0.79065366064902476);
+    (1.7178114441878767, -3.8628761616183702, 1.1197050539459914);
+    (-3.955252708173211, 5.3154328930660801, -1.9255178173922944);
+    (1.3151851231532441, -3.8372823055310072, 0.47227261228563305);
+    (1.4937397885284787, -1.8153805403866823, 0.92336173274544808);
+    (8.5236492058352624, -11.145494722180393, -8.4979659650879533);
+    (-5.0644758872127289, 6.4156747152216882, 3.8800399502578142);
+    (-4.2451768236691443, 4.4304436311477797, 3.4039391044218372);
+    (-1.2078659150656288, -5.7649769041744996, 1.4529671669459636);
+    (-0.20193785231984124, 2.6139892955687736, 0.088751555888565523);
+    (2.739844832827774, 3.1646447081566045, -2.1018008767464371);
+    (3.1718301148595072, -9.6995876823064311, 7.0060132940762383);
+    (-2.4748339838502789, 5.0333520091024866, -3.9704466203794526);
+    (-2.1163090057863934, 5.0220087437400664, -1.2281959163074774);
+    (4.7538743257937233, 4.7161766642754257, -6.5396133198267936);
+    (-3.2015244671326495, -4.4728848543146311, 2.7858728201146246);
+    (-3.1127629798917882, 0.68283917376073022, 2.9074229283117798);
+    (-0.22942008856137189, 2.7049736048512609, 3.5260404770085652);
+    (2.1379624367392469, -1.9770674422043812, -2.1497200251308919);
+    (-0.31729292786228797, -1.297054045996892, -2.0301249843170086);
+    (0.75198250349840068, 4.7797053613946252, 3.00302840677965);
+    (0.66462311091092463, -2.527747344442171, -1.5748086595757049);
+    (-0.72466382061674117, -3.9918868567421906, -2.1597228859139515);
+    (9.1156251452209531, 6.4617224662342805, -8.1473085931997602);
+    (-5.660492873835608, -1.5337619080663683, 3.5750813646192534);
+    (-4.4580977006965794, -5.3395182973058626, 4.3869981132475555);
+    (-4.3606405865461602, 3.1483201448672973, 0.75455856071308458);
+    (3.6997466675516644, -1.9914436452636575, -2.1126765099085971);
+    (2.8091402151132749, -1.0248437524952241, 0.7422234405397522);
+    (2.4554082626073228, 5.0853725812954895, 7.3422422522907427);
+    (-3.3440205253549777, -2.2759945063625731, -1.4731901008306736);
+    (-0.58240683620665656, -0.10495145222179349, -4.7424645693690168);
+  |]
+
+(* The charged water box of the golden reference and its serial solver. *)
+let golden_setup () =
+  let sys = Mdsp_workload.Workloads.water_box ~n_side:3 () in
+  let open Mdsp_workload.Workloads in
+  let gse = Gse.create ~beta:0.4 ~grid:(16, 16, 16) sys.box in
+  (gse, Mdsp_ff.Topology.charges sys.topo, sys.positions)
+
+let test_gse_golden_serial () =
+  let gse, q, pos = golden_setup () in
+  let n = Array.length pos in
+  Alcotest.(check int) "atom count" (Array.length golden_forces) n;
+  let acc = Mdsp_ff.Bonded.make_accum n in
+  let e = Gse.reciprocal gse q pos acc in
+  check_close ~rel:1e-12 "golden energy" golden_energy e;
+  check_close ~rel:1e-12 "golden virial" golden_virial
+    acc.Mdsp_ff.Bonded.virial;
+  let golden = Array.map (fun (x, y, z) -> Vec3.make x y z) golden_forces in
+  let rms =
+    sqrt
+      (Array.fold_left (fun a f -> a +. Vec3.norm2 f) 0. golden
+      /. float_of_int n)
+  in
+  let err = max_vec_diff golden acc.Mdsp_ff.Bonded.forces /. rms in
+  check_true
+    (Printf.sprintf "golden forces (max diff %.2e rms <= 1e-12)" err)
+    (err <= 1e-12)
+
+(* A serial call spreads and gathers without per-stencil-point allocation:
+   after a warm-up call has sized the cached scratch, the whole reciprocal
+   call stays under 128 minor words per charged atom. *)
+let test_gse_allocation_per_atom () =
+  let gse, q, pos = golden_setup () in
+  let acc = Mdsp_ff.Bonded.make_accum (Array.length pos) in
+  ignore (Gse.reciprocal gse q pos acc);
+  let charged = Array.fold_left (fun k x -> if x <> 0. then k + 1 else k) 0 q in
+  let w0 = Gc.minor_words () in
+  ignore (Gse.reciprocal gse q pos acc);
+  let words = (Gc.minor_words () -. w0) /. float_of_int charged in
+  check_true
+    (Printf.sprintf "%.1f minor words per charged atom < 128" words)
+    (words < 128.)
+
 let () =
   Alcotest.run "mdsp_longrange"
     [
@@ -334,5 +468,9 @@ let () =
             test_gse_rejects_bad_config;
           Alcotest.test_case "chargeless zero" `Quick
             test_gse_chargeless_is_zero;
+          Alcotest.test_case "golden serial reference" `Quick
+            test_gse_golden_serial;
+          Alcotest.test_case "allocation per charged atom" `Quick
+            test_gse_allocation_per_atom;
         ] );
     ]
