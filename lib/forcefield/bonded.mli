@@ -25,13 +25,13 @@ val make_slots : slots:int -> int -> accum array
     into [into] using a fixed-shape pairwise tree over the slots, so the
     result is deterministic for a given slot count. The per-atom sums are
     themselves parallelized over [exec] (disjoint atom tiles). Slot contents
-    are left untouched. [phase] names the barrier for the dataflow trace
-    (default ["bonded.reduce"]); [reads] lists the (resource, extent)
-    iteration spaces whose per-slot partials this reduction consumes, so
-    the happens-before graph gets a producer → reduce edge. *)
+    are left untouched. The sum is the pool phase ["bonded.reduce"];
+    [reads] lists the (resource, extent) iteration spaces whose per-slot
+    partials this reduction consumes, so the happens-before graph gets a
+    producer → reduce edge. *)
 val reduce_slots :
-  ?exec:Exec.t -> ?phase:string -> ?reads:(string * int) list -> into:accum ->
-  accum array -> unit
+  ?exec:Exec.t -> ?reads:(string * int) list -> into:accum -> accum array ->
+  unit
 
 (** Evaluate all bonds; returns the total bond energy. *)
 val bonds : Pbc.t -> Topology.t -> Vec3.t array -> accum -> float

@@ -64,77 +64,38 @@ let fft_3d ?(exec = Exec.serial) ~sign ~nx ~ny ~nz re im =
   let total = nx * ny * nz in
   if Array.length re <> total || Array.length im <> total then
     invalid_arg "Fft.fft_3d: array size mismatch";
-  let idx x y z = x + (nx * (y + (ny * z))) in
-  let ns = Exec.n_slots exec in
   (* The forward and inverse transforms are distinct dataflow phases: the
      convolve stage sits between them, so sharing one phase name per sweep
      would put a cycle in the happens-before graph. *)
   let prefix = if sign < 0 then "gse.fft_fwd" else "gse.fft_inv" in
-  (* Transform along x (contiguous): one line per (y, z). *)
-  let x_tiles = Exec.tile_bounds ~total:(ny * nz) ~ntiles:ns in
-  Exec.parallel_run ~phase:(prefix ^ ".x") exec (fun s ->
-      let bx_re = Array.make nx 0. and bx_im = Array.make nx 0. in
-      let lo, hi = x_tiles.(s) in
-      (* Each sweep's racing surface is its line-index space — strided
-         element ranges interleave across slots, line indices don't. The
-         read declaration mirrors the write: a line transform is a
-         read-modify-write of the slot's own lines. *)
-      Exec.declare_write ~slot:s ~resource:"fft.x_lines" ~total:(ny * nz)
-        ~lo ~hi exec;
-      Exec.declare_read ~slot:s ~resource:"fft.x_lines" ~total:(ny * nz)
-        ~lo ~hi exec;
-      for l = lo to hi - 1 do
-        let z = l / ny and y = l mod ny in
-        let base = idx 0 y z in
-        Array.blit re base bx_re 0 nx;
-        Array.blit im base bx_im 0 nx;
-        fft_1d ~sign bx_re bx_im;
-        Array.blit bx_re 0 re base nx;
-        Array.blit bx_im 0 im base nx
-      done);
+  (* One sweep over [lines] lines of [len] points, [stride] apart; line [l]
+     starts at [base l]. Each sweep's racing surface is its line-index
+     space — strided element ranges interleave across slots, line indices
+     don't — and a line transform is a read-modify-write of the slot's own
+     lines. *)
+  let pass ~phase ~resource ~lines ~len ~stride base =
+    Exec.sweep ~phase ~reads:[ resource ] ~writes:[ resource ] exec lines
+      (fun _ lo hi ->
+        let b_re = Array.make len 0. and b_im = Array.make len 0. in
+        for l = lo to hi - 1 do
+          let b = base l in
+          for j = 0 to len - 1 do
+            b_re.(j) <- re.(b + (j * stride));
+            b_im.(j) <- im.(b + (j * stride))
+          done;
+          fft_1d ~sign b_re b_im;
+          for j = 0 to len - 1 do
+            re.(b + (j * stride)) <- b_re.(j);
+            im.(b + (j * stride)) <- b_im.(j)
+          done
+        done)
+  in
+  (* Along x (contiguous): one line per (y, z). *)
+  pass ~phase:(prefix ^ ".x") ~resource:"fft.x_lines" ~lines:(ny * nz)
+    ~len:nx ~stride:1 (fun l -> nx * l);
   (* Along y: one strided line per (x, z). *)
-  let y_tiles = Exec.tile_bounds ~total:(nx * nz) ~ntiles:ns in
-  Exec.parallel_run ~phase:(prefix ^ ".y") exec (fun s ->
-      let by_re = Array.make ny 0. and by_im = Array.make ny 0. in
-      let lo, hi = y_tiles.(s) in
-      Exec.declare_write ~slot:s ~resource:"fft.y_lines" ~total:(nx * nz)
-        ~lo ~hi exec;
-      Exec.declare_read ~slot:s ~resource:"fft.y_lines" ~total:(nx * nz)
-        ~lo ~hi exec;
-      for l = lo to hi - 1 do
-        let z = l / nx and x = l mod nx in
-        for y = 0 to ny - 1 do
-          let k = idx x y z in
-          by_re.(y) <- re.(k);
-          by_im.(y) <- im.(k)
-        done;
-        fft_1d ~sign by_re by_im;
-        for y = 0 to ny - 1 do
-          let k = idx x y z in
-          re.(k) <- by_re.(y);
-          im.(k) <- by_im.(y)
-        done
-      done);
+  pass ~phase:(prefix ^ ".y") ~resource:"fft.y_lines" ~lines:(nx * nz)
+    ~len:ny ~stride:nx (fun l -> (l mod nx) + (nx * ny * (l / nx)));
   (* Along z: one strided line per (x, y). *)
-  let z_tiles = Exec.tile_bounds ~total:(nx * ny) ~ntiles:ns in
-  Exec.parallel_run ~phase:(prefix ^ ".z") exec (fun s ->
-      let bz_re = Array.make nz 0. and bz_im = Array.make nz 0. in
-      let lo, hi = z_tiles.(s) in
-      Exec.declare_write ~slot:s ~resource:"fft.z_lines" ~total:(nx * ny)
-        ~lo ~hi exec;
-      Exec.declare_read ~slot:s ~resource:"fft.z_lines" ~total:(nx * ny)
-        ~lo ~hi exec;
-      for l = lo to hi - 1 do
-        let y = l / nx and x = l mod nx in
-        for z = 0 to nz - 1 do
-          let k = idx x y z in
-          bz_re.(z) <- re.(k);
-          bz_im.(z) <- im.(k)
-        done;
-        fft_1d ~sign bz_re bz_im;
-        for z = 0 to nz - 1 do
-          let k = idx x y z in
-          re.(k) <- bz_re.(z);
-          im.(k) <- bz_im.(z)
-        done
-      done)
+  pass ~phase:(prefix ^ ".z") ~resource:"fft.z_lines" ~lines:(nx * ny)
+    ~len:nz ~stride:(nx * ny) (fun l -> l)

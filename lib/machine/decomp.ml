@@ -114,25 +114,18 @@ let analyze ?(exec = Exec.serial) t positions =
   let nn = node_count t in
   let wp = Array.map (Pbc.wrap t.box) positions in
   let slots = Exec.n_slots exec in
-  let atom_tiles = Exec.tile_bounds ~total:n ~ntiles:slots in
   (* Phase 1: home owners (pure per atom). *)
   let owner_of_atom = Array.make n 0 in
-  Exec.parallel_run ~phase:"decomp.owner" exec (fun s ->
-      let lo, hi = atom_tiles.(s) in
-      Exec.declare_write ~slot:s ~resource:"decomp.owner" ~total:n ~lo ~hi exec;
-      Exec.declare_read ~slot:s ~resource:"decomp.positions" ~lo ~hi exec;
+  Exec.sweep ~phase:"decomp.owner" ~reads:[ "decomp.positions" ]
+    ~writes:[ "decomp.owner" ] exec n (fun _ lo hi ->
       for i = lo to hi - 1 do
         owner_of_atom.(i) <- owner t wp.(i)
       done);
   (* Phase 2: resident sets (pure per atom). *)
   let atom_nodes = Array.make n [||] in
-  Exec.parallel_run ~phase:"decomp.resident" exec (fun s ->
-      let lo, hi = atom_tiles.(s) in
-      Exec.declare_write ~slot:s ~resource:"decomp.resident" ~total:n ~lo ~hi
-        exec;
-      Exec.declare_read ~slot:s ~resource:"decomp.positions" ~lo ~hi exec;
-      Exec.declare_read ~slot:s ~resource:"decomp.owner" ~total:n ~lo ~hi
-        exec;
+  Exec.sweep ~phase:"decomp.resident"
+    ~reads:[ "decomp.positions"; "decomp.owner" ]
+    ~writes:[ "decomp.resident" ] exec n (fun _ lo hi ->
       for i = lo to hi - 1 do
         atom_nodes.(i) <- resident_nodes t wp.(i) owner_of_atom.(i)
       done);
@@ -165,22 +158,15 @@ let analyze ?(exec = Exec.serial) t positions =
   in
   let units = Cell_list.tile_units cell in
   let unit_tiles = Exec.tile_bounds ~total:units ~ntiles:pair_tiles in
-  let tile_runs = Exec.tile_bounds ~total:pair_tiles ~ntiles:slots in
   let counts = Array.init slots (fun _ -> Array.make nn 0) in
   let viol = Array.make slots 0 in
   let r2 = t.cutoff *. t.cutoff in
-  Exec.parallel_run ~phase:"decomp.pairs" exec (fun s ->
-      let tlo, thi = tile_runs.(s) in
-      Exec.declare_write ~slot:s ~resource:"decomp.pairs" ~total:pair_tiles
-        ~lo:tlo ~hi:thi exec;
-      (* The pair scan walks the whole cell structure, both endpoints of
-         arbitrary pairs and every atom's resident set. *)
-      Exec.declare_read ~slot:s ~resource:"cell.bin" ~total:n ~lo:0 ~hi:n
-        exec;
-      Exec.declare_read ~slot:s ~resource:"decomp.positions" ~lo:0 ~hi:n
-        exec;
-      Exec.declare_read ~slot:s ~resource:"decomp.resident" ~total:n ~lo:0
-        ~hi:n exec;
+  (* The pair scan walks the whole cell structure, both endpoints of
+     arbitrary pairs and every atom's resident set. *)
+  Exec.sweep ~phase:"decomp.pairs" ~writes:[ "decomp.pairs" ]
+    ~whole_reads:
+      [ ("cell.bin", n); ("decomp.positions", n); ("decomp.resident", n) ]
+    exec pair_tiles (fun s tlo thi ->
       let c = counts.(s) in
       for tile = tlo to thi - 1 do
         let ulo, uhi = unit_tiles.(tile) in

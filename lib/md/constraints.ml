@@ -172,21 +172,11 @@ let rattle_cluster t box positions velocities ~masses cid =
 let sweep_batches ~exec ~phase t ~read_label ~rw_label body =
   Array.iter
     (fun batch ->
-      let nb = Array.length batch in
-      if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then
-        Array.iter body batch
-      else begin
-        let tiles = Exec.tile_bounds ~total:nb ~ntiles:(Exec.n_slots exec) in
-        Exec.parallel_run ~phase exec (fun s ->
-            let lo, hi = tiles.(s) in
-            Exec.declare_read ~slot:s ~resource:read_label ~lo ~hi exec;
-            Exec.declare_read ~slot:s ~resource:rw_label ~lo ~hi exec;
-            Exec.declare_write ~slot:s ~resource:rw_label ~total:nb ~lo ~hi
-              exec;
-            for k = lo to hi - 1 do
-              body batch.(k)
-            done)
-      end)
+      Exec.sweep ~phase ~reads:[ read_label; rw_label ] ~writes:[ rw_label ]
+        exec (Array.length batch) (fun _ lo hi ->
+          for k = lo to hi - 1 do
+            body batch.(k)
+          done))
     t.batches
 
 let shake ?(exec = Exec.serial) t box ~prev positions ~masses =

@@ -246,27 +246,16 @@ let langevin_o t gamma dt =
   let v = t.st.State.velocities and m = t.st.State.masses in
   let n = State.n t.st in
   let key = Rng.split_key t.rng in
-  let body lo hi =
-    for i = lo to hi - 1 do
-      if not (Virtual_sites.is_site t.vsites i) then begin
-        let c2 = sqrt (kt /. m.(i) *. (1. -. (c1 *. c1))) in
-        v.(i) <-
-          Vec3.add (Vec3.scale c1 v.(i))
-            (Vec3.scale c2 (Rng.gaussian_vec (Rng.derive key i)))
-      end
-    done
-  in
-  let exec = Force_calc.exec t.fc in
-  if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then body 0 n
-  else begin
-    let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-    Exec.parallel_run ~phase:"thermo.langevin" exec (fun s ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_read ~slot:s ~resource:"state.velocities" ~lo ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"state.velocities" ~total:n ~lo
-          ~hi exec;
-        body lo hi)
-  end
+  Exec.sweep ~phase:"thermo.langevin" ~reads:[ "state.velocities" ]
+    ~writes:[ "state.velocities" ] (Force_calc.exec t.fc) n (fun _ lo hi ->
+      for i = lo to hi - 1 do
+        if not (Virtual_sites.is_site t.vsites i) then begin
+          let c2 = sqrt (kt /. m.(i) *. (1. -. (c1 *. c1))) in
+          v.(i) <-
+            Vec3.add (Vec3.scale c1 v.(i))
+              (Vec3.scale c2 (Rng.gaussian_vec (Rng.derive key i)))
+        end
+      done)
 
 (* Velocity rescale (NH chain, Berendsen) as a tiled parallel sweep; the
    scalar factor comes from a serial reduction beforehand, so the sweep
@@ -276,21 +265,12 @@ let thermo_scale t s =
   if s <> 1. then
     Timer.span (Force_calc.clock t.fc) "thermostat" @@ fun () ->
     let v = t.st.State.velocities in
-    let n = State.n t.st in
-    let exec = Force_calc.exec t.fc in
-    if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then
-      State.scale_velocities t.st s
-    else begin
-      let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-      Exec.parallel_run ~phase:"thermo.scale" exec (fun sl ->
-          let lo, hi = tiles.(sl) in
-          Exec.declare_read ~slot:sl ~resource:"state.velocities" ~lo ~hi exec;
-          Exec.declare_write ~slot:sl ~resource:"state.velocities" ~total:n
-            ~lo ~hi exec;
-          for i = lo to hi - 1 do
-            v.(i) <- Vec3.scale s v.(i)
-          done)
-    end
+    Exec.sweep ~phase:"thermo.scale" ~reads:[ "state.velocities" ]
+      ~writes:[ "state.velocities" ] (Force_calc.exec t.fc) (State.n t.st)
+      (fun _ lo hi ->
+        for i = lo to hi - 1 do
+          v.(i) <- Vec3.scale s v.(i)
+        done)
 
 (* --- integrator pieces --- *)
 
@@ -304,88 +284,47 @@ let thermo_scale t s =
 let kick ?(phase = "integrate.kick1") t (acc : Mdsp_ff.Bonded.accum) dt =
   Timer.span (Force_calc.clock t.fc) "integrate" @@ fun () ->
   let v = t.st.State.velocities and m = t.st.State.masses in
-  let n = State.n t.st in
-  let exec = Force_calc.exec t.fc in
-  if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then
-    for i = 0 to n - 1 do
-      if not (Virtual_sites.is_site t.vsites i) then
-        v.(i) <- Vec3.axpy (dt /. m.(i)) acc.forces.(i) v.(i)
-    done
-  else begin
-    let forces = acc.Mdsp_ff.Bonded.forces in
-    let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-    Exec.parallel_run ~phase exec (fun s ->
-        let lo, hi = tiles.(s) in
-        Exec.declare_read ~slot:s ~resource:"state.forces" ~lo ~hi exec;
-        Exec.declare_read ~slot:s ~resource:"state.velocities" ~lo ~hi exec;
-        Exec.declare_write ~slot:s ~resource:"state.velocities" ~total:n ~lo
-          ~hi exec;
-        for i = lo to hi - 1 do
-          if not (Virtual_sites.is_site t.vsites i) then
-            v.(i) <- Vec3.axpy (dt /. m.(i)) forces.(i) v.(i)
-        done)
-  end
+  let forces = acc.Mdsp_ff.Bonded.forces in
+  Exec.sweep ~phase ~reads:[ "state.forces"; "state.velocities" ]
+    ~writes:[ "state.velocities" ] (Force_calc.exec t.fc) (State.n t.st)
+    (fun _ lo hi ->
+      for i = lo to hi - 1 do
+        if not (Virtual_sites.is_site t.vsites i) then
+          v.(i) <- Vec3.axpy (dt /. m.(i)) forces.(i) v.(i)
+      done)
 
-(* Drift positions by dt, apply SHAKE, and fold the constraint displacement
-   back into velocities. Only the position sweep (with its prev-position
-   save) is a parallel phase; SHAKE, the velocity fold and virtual-site
-   placement stay on the calling domain after the barrier. *)
+(* Drift positions by dt (saving the pre-step positions), apply SHAKE, fold
+   the constraint displacement back into velocities, and place the virtual
+   sites. The drift, the SHAKE batches and the fold are pool phases; only
+   the virtual-site placement runs on the calling domain. *)
 let drift t dt =
   let clk = Force_calc.clock t.fc in
   let x = t.st.State.positions and v = t.st.State.velocities in
+  let prev = t.prev_positions in
   let n = State.n t.st in
   let exec = Force_calc.exec t.fc in
   Timer.span clk "integrate" (fun () ->
-      if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then begin
-        Array.blit x 0 t.prev_positions 0 n;
-        for i = 0 to n - 1 do
-          if not (Virtual_sites.is_site t.vsites i) then
-            x.(i) <- Vec3.axpy dt v.(i) x.(i)
-        done
-      end
-      else begin
-        let prev = t.prev_positions in
-        let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-        Exec.parallel_run ~phase:"integrate.drift" exec (fun s ->
-            let lo, hi = tiles.(s) in
-            Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi exec;
-            Exec.declare_read ~slot:s ~resource:"state.velocities" ~lo ~hi exec;
-            Exec.declare_write ~slot:s ~resource:"state.positions" ~total:n ~lo
-              ~hi exec;
-            Exec.declare_write ~slot:s ~resource:"integrate.prev" ~total:n ~lo
-              ~hi exec;
-            Array.blit x lo prev lo (hi - lo);
-            for i = lo to hi - 1 do
-              if not (Virtual_sites.is_site t.vsites i) then
-                x.(i) <- Vec3.axpy dt v.(i) x.(i)
-            done)
-      end);
-  if Constraints.count t.cons > 0 then
-    Timer.span clk "constraints" (fun () ->
-        Constraints.shake ~exec t.cons t.st.State.box
-          ~prev:t.prev_positions x ~masses:t.st.State.masses;
-        (* Fold the constraint displacement back into velocities: a per-atom
-           map over positions and saved pre-step positions. *)
-        let fold lo hi =
+      Exec.sweep ~phase:"integrate.drift"
+        ~reads:[ "state.positions"; "state.velocities" ]
+        ~writes:[ "state.positions"; "integrate.prev" ] exec n (fun _ lo hi ->
+          Array.blit x lo prev lo (hi - lo);
           for i = lo to hi - 1 do
             if not (Virtual_sites.is_site t.vsites i) then
-              v.(i) <-
-                Vec3.scale (1. /. dt) (Vec3.sub x.(i) t.prev_positions.(i))
-          done
-        in
-        if Exec.n_slots exec = 1 && not (Exec.sanitizing exec) then fold 0 n
-        else begin
-          let tiles = Exec.tile_bounds ~total:n ~ntiles:(Exec.n_slots exec) in
-          Exec.parallel_run ~phase:"constraints.fold" exec (fun s ->
-              let lo, hi = tiles.(s) in
-              Exec.declare_read ~slot:s ~resource:"state.positions" ~lo ~hi
-                exec;
-              Exec.declare_read ~slot:s ~resource:"integrate.prev" ~lo ~hi
-                exec;
-              Exec.declare_write ~slot:s ~resource:"state.velocities" ~total:n
-                ~lo ~hi exec;
-              fold lo hi)
-        end);
+              x.(i) <- Vec3.axpy dt v.(i) x.(i)
+          done));
+  if Constraints.count t.cons > 0 then
+    Timer.span clk "constraints" (fun () ->
+        Constraints.shake ~exec t.cons t.st.State.box ~prev x
+          ~masses:t.st.State.masses;
+        (* Fold the constraint displacement back into velocities: a per-atom
+           map over positions and saved pre-step positions. *)
+        Exec.sweep ~phase:"constraints.fold"
+          ~reads:[ "state.positions"; "integrate.prev" ]
+          ~writes:[ "state.velocities" ] exec n (fun _ lo hi ->
+            for i = lo to hi - 1 do
+              if not (Virtual_sites.is_site t.vsites i) then
+                v.(i) <- Vec3.scale (1. /. dt) (Vec3.sub x.(i) prev.(i))
+            done));
   if Virtual_sites.count t.vsites > 0 then
     Virtual_sites.place t.vsites t.st.State.box x
 

@@ -61,7 +61,6 @@ type flat = {
   slot_virial : float array;
   eb : float array;
   ea : float array;
-  ed : float array;
 }
 
 let make_flat ~exec natoms =
@@ -91,7 +90,6 @@ let make_flat ~exec natoms =
     slot_virial = Array.make (max nslots 1) 0.;
     eb = Array.make (max nslots 1) 0.;
     ea = Array.make (max nslots 1) 0.;
-    ed = Array.make (max nslots 1) 0.;
   }
 
 (* The loop the pair phase runs: the flat analytic kernel, or the generic
@@ -274,6 +272,28 @@ let flat_flush t acc =
   Soa.sync_store ~exec:t.exec t.flat.store acc;
   acc.Mdsp_ff.Bonded.virial <- t.flat.sc.K.virial
 
+(* One slot-accumulating force phase on the pool. Each slot clears its
+   private force columns and scratch, declares the whole-[soa.positions]
+   read (terms index arbitrary atoms), runs [body s store scratch] — which
+   declares its own tile and returns the slot's energy — and keeps its
+   virial. The slot partials are then tree-reduced into the flat store,
+   [reads] naming the iteration spaces [body] declared; the result is the
+   tree sum of the slot energies. *)
+let slot_phase t ~phase ~reads body =
+  let fl = t.flat in
+  let natoms = Soa.n fl.store in
+  Exec.parallel_run ~phase t.exec (fun s ->
+      let sst = fl.slot_stores.(s) and ssc = fl.slot_sc.(s) in
+      Soa.clear_forces sst;
+      K.reset_scratch ssc;
+      Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
+        t.exec;
+      fl.slot_energy.(s) <- body s sst ssc;
+      fl.slot_virial.(s) <- ssc.K.virial);
+  K.reduce_slots ~exec:t.exec ~reads ~into:fl.store ~slot_fx:fl.slot_fx
+    ~slot_fy:fl.slot_fy ~slot_fz:fl.slot_fz ~slot_virial:fl.slot_virial fl.sc;
+  Exec.sum_tree fl.slot_energy
+
 (* Bonded terms on the flat store, with the serial/parallel split, per-term
    tilings, declares and reduction tree of [Bonded.all]. *)
 let flat_bonded t box =
@@ -305,52 +325,43 @@ let flat_bonded t box =
     let a_tiles = Exec.tile_bounds ~total:na ~ntiles:ns in
     let d_tiles = Exec.tile_bounds ~total:nd ~ntiles:ns in
     let i_tiles = Exec.tile_bounds ~total:ni ~ntiles:ns in
-    let eb = fl.eb and ea = fl.ea and ed = fl.ed in
-    let natoms = Soa.n store in
-    Exec.parallel_run ~phase:"bonded" t.exec (fun s ->
-        let sst = fl.slot_stores.(s) in
-        Soa.clear_forces sst;
-        let ssc = fl.slot_sc.(s) in
-        K.reset_scratch ssc;
-        let declare resource tiles total =
-          let lo, hi = tiles in
-          Exec.declare_write ~slot:s ~resource ~total ~lo ~hi t.exec
-        in
-        declare "bonded.bonds" b_tiles.(s) nb;
-        declare "bonded.angles" a_tiles.(s) na;
-        declare "bonded.dihedrals" d_tiles.(s) nd;
-        declare "bonded.impropers" i_tiles.(s) ni;
-        (* Each term reads arbitrary atoms via its index tuples. *)
-        Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
-          t.exec;
-        let lo, hi = b_tiles.(s) in
-        ssc.K.energy <- 0.;
-        K.bonds_range box topo sst lo hi ssc;
-        eb.(s) <- ssc.K.energy;
-        let lo, hi = a_tiles.(s) in
-        ssc.K.energy <- 0.;
-        K.angles_range box topo sst lo hi ssc;
-        ea.(s) <- ssc.K.energy;
-        let lo, hi = d_tiles.(s) in
-        ssc.K.energy <- 0.;
-        K.dihedrals_range box topo sst lo hi ssc;
-        let e_d = ssc.K.energy in
-        let lo, hi = i_tiles.(s) in
-        ssc.K.energy <- 0.;
-        K.impropers_range box topo sst lo hi ssc;
-        ed.(s) <- e_d +. ssc.K.energy;
-        fl.slot_virial.(s) <- ssc.K.virial);
-    K.reduce_slots ~exec:t.exec
-      ~reads:
-        [
-          ("bonded.bonds", nb);
-          ("bonded.angles", na);
-          ("bonded.dihedrals", nd);
-          ("bonded.impropers", ni);
-        ]
-      ~into:store ~slot_fx:fl.slot_fx ~slot_fy:fl.slot_fy ~slot_fz:fl.slot_fz
-      ~slot_virial:fl.slot_virial sc;
-    (Exec.sum_tree eb, Exec.sum_tree ea, Exec.sum_tree ed)
+    let eb = fl.eb and ea = fl.ea in
+    let ed =
+      slot_phase t ~phase:"bonded"
+        ~reads:
+          [
+            ("bonded.bonds", nb);
+            ("bonded.angles", na);
+            ("bonded.dihedrals", nd);
+            ("bonded.impropers", ni);
+          ]
+        (fun s sst ssc ->
+          let declare resource tiles total =
+            let lo, hi = tiles in
+            Exec.declare_write ~slot:s ~resource ~total ~lo ~hi t.exec
+          in
+          declare "bonded.bonds" b_tiles.(s) nb;
+          declare "bonded.angles" a_tiles.(s) na;
+          declare "bonded.dihedrals" d_tiles.(s) nd;
+          declare "bonded.impropers" i_tiles.(s) ni;
+          let lo, hi = b_tiles.(s) in
+          ssc.K.energy <- 0.;
+          K.bonds_range box topo sst lo hi ssc;
+          eb.(s) <- ssc.K.energy;
+          let lo, hi = a_tiles.(s) in
+          ssc.K.energy <- 0.;
+          K.angles_range box topo sst lo hi ssc;
+          ea.(s) <- ssc.K.energy;
+          let lo, hi = d_tiles.(s) in
+          ssc.K.energy <- 0.;
+          K.dihedrals_range box topo sst lo hi ssc;
+          let e_d = ssc.K.energy in
+          let lo, hi = i_tiles.(s) in
+          ssc.K.energy <- 0.;
+          K.impropers_range box topo sst lo hi ssc;
+          e_d +. ssc.K.energy)
+    in
+    (Exec.sum_tree eb, Exec.sum_tree ea, ed)
   end
 
 (* Scaled 1-4 terms on the flat store; the skip condition and the tiling
@@ -367,27 +378,14 @@ let flat_pairs14 t box =
   end
   else begin
     let np = K.pairs14_count params in
-    let ns = Exec.n_slots t.exec in
-    let tiles = Exec.tile_bounds ~total:np ~ntiles:ns in
-    let energies = fl.slot_energy in
-    let natoms = Soa.n fl.store in
-    Exec.parallel_run ~phase:"pair14" t.exec (fun s ->
-        let sst = fl.slot_stores.(s) in
-        Soa.clear_forces sst;
-        let ssc = fl.slot_sc.(s) in
-        K.reset_scratch ssc;
+    let tiles = Exec.tile_bounds ~total:np ~ntiles:(Exec.n_slots t.exec) in
+    slot_phase t ~phase:"pair14" ~reads:[ ("pair.pairs14", np) ]
+      (fun s sst ssc ->
         let lo, hi = tiles.(s) in
         Exec.declare_write ~slot:s ~resource:"pair.pairs14" ~total:np ~lo ~hi
           t.exec;
-        Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
-          t.exec;
         K.pairs14_range params box sst lo hi ssc;
-        energies.(s) <- ssc.K.energy;
-        fl.slot_virial.(s) <- ssc.K.virial);
-    K.reduce_slots ~exec:t.exec ~reads:[ ("pair.pairs14", np) ]
-      ~into:fl.store ~slot_fx:fl.slot_fx ~slot_fy:fl.slot_fy
-      ~slot_fz:fl.slot_fz ~slot_virial:fl.slot_virial fl.sc;
-    Exec.sum_tree energies
+        ssc.K.energy)
   end
 
 (* The flat pair kernel over the neighbor list, with the tiling of
@@ -412,27 +410,15 @@ let flat_pair t pp box =
     let ns = Exec.n_slots t.exec in
     let tiles = Mdsp_space.Neighbor_list.tiles t.nlist ~ntiles:ns in
     let total = snd tiles.(ns - 1) in
-    let energies = fl.slot_energy in
-    let natoms = Soa.n fl.store in
-    Exec.parallel_run ~phase:"pair" t.exec (fun s ->
-        let sst = fl.slot_stores.(s) in
-        Soa.clear_forces sst;
-        let ssc = fl.slot_sc.(s) in
-        K.reset_scratch ssc;
+    slot_phase t ~phase:"pair" ~reads:[ ("pair.tiles", total) ]
+      (fun s sst ssc ->
         let lo, hi = tiles.(s) in
         Exec.declare_write ~slot:s ~resource:"pair.tiles" ~total ~lo ~hi
           t.exec;
         Exec.declare_read ~slot:s ~resource:"nlist.pairs" ~total ~lo ~hi
           t.exec;
-        Exec.declare_read ~slot:s ~resource:"soa.positions" ~lo:0 ~hi:natoms
-          t.exec;
         K.pair_range pp box sst ~is ~js lo hi ssc;
-        energies.(s) <- ssc.K.energy;
-        fl.slot_virial.(s) <- ssc.K.virial);
-    K.reduce_slots ~exec:t.exec ~reads:[ ("pair.tiles", total) ]
-      ~into:fl.store ~slot_fx:fl.slot_fx ~slot_fy:fl.slot_fy
-      ~slot_fz:fl.slot_fz ~slot_virial:fl.slot_virial fl.sc;
-    Exec.sum_tree energies
+        ssc.K.energy)
   end
 
 (* The pair kernel the evaluator picked, and the flush of the flat sums

@@ -421,6 +421,30 @@ let tile_bounds ~total ~ntiles =
   Array.init ntiles (fun k ->
       (total * k / ntiles, total * (k + 1) / ntiles))
 
+(* The one per-index parallel phase. Each slot declares its own tile of
+   every [writes]/[reads] resource (extent [n]) and the whole of every
+   [whole_reads] resource, then runs [body slot lo hi]. An unsanitized
+   one-slot executor has nothing to declare and no barrier to cross, so the
+   body runs directly over [0, n). *)
+let sweep ~phase ?(reads = []) ?(writes = []) ?(whole_reads = []) t n body =
+  if n_slots t = 1 && not (sanitizing t) then body 0 0 n
+  else begin
+    let tiles = tile_bounds ~total:n ~ntiles:(n_slots t) in
+    parallel_run ~phase t (fun slot ->
+        let lo, hi = tiles.(slot) in
+        List.iter
+          (fun resource -> declare_write ~slot ~resource ~total:n ~lo ~hi t)
+          writes;
+        List.iter
+          (fun resource -> declare_read ~slot ~resource ~total:n ~lo ~hi t)
+          reads;
+        List.iter
+          (fun (resource, extent) ->
+            declare_read ~slot ~resource ~total:extent ~lo:0 ~hi:extent t)
+          whole_reads;
+        body slot lo hi)
+  end
+
 let reduce_tree f a =
   let n = Array.length a in
   if n = 0 then invalid_arg "Exec.reduce_tree: empty array";

@@ -71,10 +71,12 @@ exception Race of string
     ranges (not of the data), so it is cheap enough for tests and
     verification runs but off by default in production.
 
-    Phases that bypass the pool at one slot for speed must still take the
-    declaring path when [sanitizing] is true, so the sanitized sweep and
-    the {!set_observer} dataflow trace see every phase at every slot
-    count. *)
+    A phase that bypasses the pool at one slot for speed must still take
+    the declaring path when [sanitizing] is true, so the sanitized sweep
+    and the {!set_observer} dataflow trace see every phase at every slot
+    count. {!sweep} does exactly this for every per-index phase; only
+    phases that accumulate into slot-private buffers hand-write the
+    bypass around {!parallel_run}. *)
 val create : ?sanitize:bool -> backend -> t
 
 (** True if the executor was created with [sanitize:true]. *)
@@ -156,6 +158,31 @@ val map_slots : ?phase:string -> t -> (int -> 'a) -> 'a array
     [ntiles] contiguous half-open ranges [(lo, hi)] whose sizes differ by at
     most one. Empty ranges are possible when [total < ntiles]. *)
 val tile_bounds : total:int -> ntiles:int -> (int * int) array
+
+(** [sweep ~phase ?reads ?writes ?whole_reads t n body] runs [body] over
+    the index space [0, n) — the shape of every per-index parallel phase.
+
+    On an unsanitized one-slot executor it calls [body 0 0 n] directly:
+    no tiling, no declarations, no barrier. Otherwise it cuts [0, n) with
+    {!tile_bounds} into one tile per slot and runs {!parallel_run} [~phase];
+    slot [s] with tile [(lo, hi)] declares a write of [lo, hi) with extent
+    [n] on every resource in [writes], a read of [lo, hi) with extent [n]
+    on every resource in [reads], and a read of [0, extent) on every
+    [(resource, extent)] in [whole_reads], then runs [body s lo hi].
+
+    [body] must touch only what it declares: index [i] of a tiled resource
+    for [lo <= i < hi], anything in a whole-read resource, and slot-[s]
+    private state. Accesses that do not fit these shapes are declared by
+    [body] itself with {!declare_read}/{!declare_write}. *)
+val sweep :
+  phase:string ->
+  ?reads:string list ->
+  ?writes:string list ->
+  ?whole_reads:(string * int) list ->
+  t ->
+  int ->
+  (int -> int -> int -> unit) ->
+  unit
 
 (** Fixed-shape pairwise tree reduction (stride doubling): the combination
     order depends only on the array length, never on timing, so the result

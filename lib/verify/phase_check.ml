@@ -80,19 +80,6 @@ let rebuild_soa ~exec () =
          st.Mdsp_md.State.positions);
     ignore (FC.compute fc st.Mdsp_md.State.box st.Mdsp_md.State.positions acc)
 
-(* The Vec3-array <-> flat-store sync pair on its own: [of_state] (phase soa.load, with
-   the velocity columns) into [to_state] (phase soa.store). *)
-let soa_sync ~exec () =
-  let sys = W.bead_chain ~n_beads:8 ~n_total:64 () in
-  let st =
-    Mdsp_md.State.create ~positions:sys.W.positions
-      ~masses:(Mdsp_ff.Topology.masses sys.W.topo)
-      ~box:sys.W.box
-  in
-  fun () ->
-    let s = Mdsp_md.Soa.of_state ~exec st in
-    ignore (Mdsp_md.Soa.to_state ~exec s)
-
 (* One multi-node decomposition frame of a small water box: the per-atom
    owner scan, the per-atom resident-set scan and the tiled midpoint pair
    assignment; the cell-list build inside declares cell.bin against the
@@ -184,7 +171,6 @@ let windows =
     ("step.thermo", step_thermo);
     ("step.langevin", step_langevin);
     ("rebuild.soa", rebuild_soa);
-    ("soa.sync", soa_sync);
     ("decomp.frame", decomp_frame);
     ("service.slice", service_slice);
     ("collective", collective);
@@ -204,7 +190,6 @@ let phase_labels =
     "bonded.impropers";
     "bonded.reduce";
     "soa.positions";
-    "soa.velocities";
     "soa.forces";
     "soa.reduce";
     "gse.spread";

@@ -97,6 +97,10 @@ grep -q '"phases\.coverage": 1' /tmp/mdsp-phases.json
 dune exec bin/mdsp.exe -- check --phases --slots 4 \
   --dot /tmp/mdsp-phases-4.dot >/dev/null
 cmp /tmp/mdsp-phases-1.dot /tmp/mdsp-phases-4.dot
+# The graph is pinned: a change to any phase footprint or ordering edge
+# must land as a reviewed diff of the committed render (regenerate it with
+# `mdsp check --phases --slots 1 --dot test/golden/phases.dot`).
+cmp test/golden/phases.dot /tmp/mdsp-phases-1.dot
 # The batched constraint sweeps and thermostat sweeps are pool phases now;
 # the rendered graph must carry them and their ordering edges.
 grep -q '"constraints\.shake"' /tmp/mdsp-phases-1.dot

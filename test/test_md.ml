@@ -660,64 +660,64 @@ let test_checkpoint_rejects_garbage () =
 
 (* --- Soa: the flat (structure-of-arrays) store --- *)
 
-let random_state ~seed ~n =
+let random_positions ~seed ~n =
   let rng = Rng.create seed in
-  let positions =
-    Array.init n (fun _ ->
-        Vec3.make
-          (Rng.uniform_in rng (-3.) 15.)
-          (Rng.uniform_in rng (-3.) 15.)
-          (Rng.uniform_in rng (-3.) 15.))
-  in
-  let masses = Array.init n (fun i -> 1. +. (0.125 *. float_of_int i)) in
-  let st = State.create ~positions ~masses ~box:(Pbc.cubic 12.375) in
-  State.thermalize st rng ~temp:250.;
-  st.State.time <- 17.25;
-  st
+  Array.init n (fun _ ->
+      Vec3.make
+        (Rng.uniform_in rng (-3.) 15.)
+        (Rng.uniform_in rng (-3.) 15.)
+        (Rng.uniform_in rng (-3.) 15.))
 
-let test_soa_round_trip_exact () =
-  let st = random_state ~seed:11 ~n:97 in
-  let soa = Soa.of_state st in
-  let st2 = Soa.to_state soa in
-  check_true "of_state/to_state round-trips bit for bit" (State.equal st st2);
-  (* Column contents are exact copies, not recomputations. *)
-  Array.iteri
-    (fun i p ->
-      check_true "x column exact" (soa.Soa.x.{i} = p.Vec3.x);
-      check_true "y column exact" (soa.Soa.y.{i} = p.Vec3.y);
-      check_true "z column exact" (soa.Soa.z.{i} = p.Vec3.z))
-    st.State.positions
-
-let test_soa_scatter_overwrites () =
-  let st = random_state ~seed:12 ~n:16 in
-  let soa = Soa.of_state st in
-  for i = 0 to 15 do
-    soa.Soa.fx.{i} <- float_of_int i;
-    soa.Soa.fy.{i} <- -.float_of_int i;
-    soa.Soa.fz.{i} <- 0.5 *. float_of_int i
-  done;
-  let acc = Mdsp_ff.Bonded.make_accum 16 in
-  (* Pre-existing accumulator content must be replaced, not added to. *)
-  acc.Mdsp_ff.Bonded.forces.(3) <- Vec3.make 100. 100. 100.;
-  Soa.scatter_forces soa acc;
-  Array.iteri
-    (fun i f ->
-      check_true "scatter overwrites"
-        (f.Vec3.x = float_of_int i
-        && f.Vec3.y = -.float_of_int i
-        && f.Vec3.z = 0.5 *. float_of_int i))
-    acc.Mdsp_ff.Bonded.forces
+(* The sync phases on the serial executor and as a sanitized 2-slot pool
+   sweep. *)
+let on_sync_executors f =
+  f "serial" Exec.serial;
+  let pool = Exec.create ~sanitize:true (Exec.Domains { n = 2 }) in
+  Fun.protect
+    ~finally:(fun () -> Exec.shutdown pool)
+    (fun () -> f "2 slots" pool)
 
 let test_soa_load_clear () =
-  let st = random_state ~seed:13 ~n:33 in
-  let soa = Soa.create ~box:st.State.box 33 in
-  Soa.load_positions soa st.State.positions;
-  Soa.load_velocities soa st.State.velocities;
+  on_sync_executors (fun name exec ->
+      let positions = random_positions ~seed:11 ~n:97 in
+      let soa = Soa.create 97 in
+      soa.Soa.fx.{7} <- 3.25;
+      soa.Soa.fz.{96} <- -1.5;
+      Soa.sync_load ~exec soa positions;
+      (* Column contents are exact copies, not recomputations. *)
+      Array.iteri
+        (fun i p ->
+          check_true (name ^ ": x column exact") (soa.Soa.x.{i} = p.Vec3.x);
+          check_true (name ^ ": y column exact") (soa.Soa.y.{i} = p.Vec3.y);
+          check_true (name ^ ": z column exact") (soa.Soa.z.{i} = p.Vec3.z);
+          check_true (name ^ ": forces cleared")
+            (soa.Soa.fx.{i} = 0. && soa.Soa.fy.{i} = 0. && soa.Soa.fz.{i} = 0.))
+        positions);
+  let soa = Soa.create 33 in
   soa.Soa.fx.{7} <- 3.25;
   Soa.clear_forces soa;
-  check_true "forces cleared" (soa.Soa.fx.{7} = 0.);
-  check_true "velocity column exact"
-    (soa.Soa.vy.{5} = st.State.velocities.(5).Vec3.y)
+  check_true "clear_forces zeroes" (soa.Soa.fx.{7} = 0.)
+
+let test_soa_store_overwrites () =
+  on_sync_executors (fun name exec ->
+      let soa = Soa.create 16 in
+      for i = 0 to 15 do
+        soa.Soa.fx.{i} <- float_of_int i;
+        soa.Soa.fy.{i} <- -.float_of_int i;
+        soa.Soa.fz.{i} <- 0.5 *. float_of_int i
+      done;
+      let acc = Mdsp_ff.Bonded.make_accum 16 in
+      (* Pre-existing accumulator content must be replaced, not added to. *)
+      acc.Mdsp_ff.Bonded.forces.(3) <- Vec3.make 100. 100. 100.;
+      acc.Mdsp_ff.Bonded.forces.(12) <- Vec3.make 1. (-1.) 2.;
+      Soa.sync_store ~exec soa acc;
+      Array.iteri
+        (fun i f ->
+          check_true (name ^ ": sync_store overwrites")
+            (f.Vec3.x = float_of_int i
+            && f.Vec3.y = -.float_of_int i
+            && f.Vec3.z = 0.5 *. float_of_int i))
+        acc.Mdsp_ff.Bonded.forces)
 
 let () =
   Alcotest.run "mdsp_md"
@@ -733,10 +733,8 @@ let () =
         ] );
       ( "soa",
         [
-          Alcotest.test_case "of_state/to_state round-trip" `Quick
-            test_soa_round_trip_exact;
-          Alcotest.test_case "scatter_forces overwrites" `Quick
-            test_soa_scatter_overwrites;
+          Alcotest.test_case "sync_store overwrites" `Quick
+            test_soa_store_overwrites;
           Alcotest.test_case "load/clear columns" `Quick test_soa_load_clear;
         ] );
       ( "constraints",

@@ -525,6 +525,79 @@ let test_timer_phase_table () =
     (names ()
     = [ "lr"; "lr.spread"; "lr.fft"; "lr.convolve"; "pair"; "neighbor.build" ])
 
+(* --- Exec.sweep --- *)
+
+(* [sweep] over n in {0, 1, 3, 100} on the plain serial executor, a
+   sanitizing one-slot executor and sanitizing 2- and 4-slot pools: every
+   index is visited exactly once, each slot's (lo, hi) is its [tile_bounds]
+   tile, and a sanitizing observer sees one barrier carrying the phase name
+   and the declared tiles and whole reads. The plain serial executor makes
+   a single direct call over [0, n) with no barrier. *)
+let test_exec_sweep () =
+  let check_on name exec =
+    let ns = Exec.n_slots exec in
+    List.iter
+      (fun n ->
+        let label = Printf.sprintf "%s, n = %d" name n in
+        let records = ref [] in
+        Exec.set_observer exec (Some (fun r -> records := r :: !records));
+        let visits = Array.make n 0 in
+        let calls = Array.make ns [] in
+        Exec.sweep ~phase:"test.sweep" ~reads:[ "r" ] ~writes:[ "w" ]
+          ~whole_reads:[ ("g", 7) ] exec n (fun slot lo hi ->
+            calls.(slot) <- (lo, hi) :: calls.(slot);
+            for i = lo to hi - 1 do
+              visits.(i) <- visits.(i) + 1
+            done);
+        Exec.set_observer exec None;
+        check_true (label ^ ": every index once")
+          (Array.for_all (fun c -> c = 1) visits);
+        if not (Exec.sanitizing exec) then begin
+          check_true (label ^ ": one direct call over [0, n)")
+            (calls = [| [ (0, n) ] |]);
+          check_true (label ^ ": no barrier") (!records = [])
+        end
+        else begin
+          let tiles = Exec.tile_bounds ~total:n ~ntiles:ns in
+          check_true (label ^ ": slot tiles are tile_bounds")
+            (Array.for_all2 (fun c t -> c = [ t ]) calls tiles);
+          let access slot resource (lo, hi) total =
+            {
+              Exec.acc_slot = slot;
+              acc_resource = resource;
+              acc_lo = lo;
+              acc_hi = hi;
+              acc_total = Some total;
+            }
+          in
+          let per_slot f = List.concat (List.init ns f) in
+          match !records with
+          | [ r ] ->
+              check_true (label ^ ": phase name")
+                (r.Exec.br_phase = Some "test.sweep");
+              check_true (label ^ ": tile writes with extent n")
+                (r.Exec.br_writes
+                = per_slot (fun s -> [ access s "w" tiles.(s) n ]));
+              check_true (label ^ ": tile reads with extent n, whole reads")
+                (r.Exec.br_reads
+                = per_slot (fun s ->
+                      [ access s "r" tiles.(s) n; access s "g" (0, 7) 7 ]))
+          | l ->
+              Alcotest.failf "%s: %d barrier records, expected 1" label
+                (List.length l)
+        end)
+      [ 0; 1; 3; 100 ]
+  in
+  check_on "serial" Exec.serial;
+  check_on "sanitized serial" (Exec.create ~sanitize:true Exec.Serial);
+  List.iter
+    (fun n ->
+      let pool = Exec.create ~sanitize:true (Exec.Domains { n }) in
+      Fun.protect
+        ~finally:(fun () -> Exec.shutdown pool)
+        (fun () -> check_on (Printf.sprintf "%d slots" n) pool))
+    [ 2; 4 ]
+
 let () =
   Alcotest.run "mdsp_util"
     [
@@ -622,4 +695,5 @@ let () =
         ] );
       ( "timer",
         [ Alcotest.test_case "phase table" `Quick test_timer_phase_table ] );
+      ("exec", [ Alcotest.test_case "sweep" `Quick test_exec_sweep ]);
     ]
